@@ -7,7 +7,7 @@
 //
 //   static-max  fixed at the scaler's max_shards for the whole run — the
 //               oversized baseline the auto runs must conserve against
-//   auto        scaler enabled, 1 shard start, single-pause migration
+//   auto        scaler enabled, 1 shard start, single-step migration
 //   auto-incr   same scaler, incremental migration (migration_batch set)
 //
 // The auto runs must split during the storm and merge back afterwards with
@@ -23,7 +23,7 @@
 // Flags (bench_util): --scale=F --days=F --seed=N --graph=NAME --smoke
 // --csv-dir=PATH --trace=PATH --timeseries=PATH. --smoke caps scale/days
 // for a seconds-long CI run. The telemetry export rides the adaptive
-// auto run — the closed loop with single-pause resizes, whose trace shows
+// auto run — the closed loop with single-step resizes, whose trace shows
 // the scaler's decisions through the full 1 -> 2 -> 4 -> 2 -> 1 round trip
 // (auto-incr's trailing merge window outlives the day-long log, so its
 // timeline stops at 2 shards; results/runtime_autoscale_trace.json is a
@@ -55,7 +55,7 @@ constexpr char kCsvHeader[] =
 struct Scenario {
   const char* name;
   bool scaled = false;              // AutoScaler drives the shard count
-  std::uint32_t migration_batch = 0;  // 0 = single-pause migration
+  std::uint32_t migration_batch = 0;  // 0 = single-step migration
 };
 
 struct Outcome {
@@ -172,7 +172,7 @@ bool ReportMode(const graph::SocialGraph& g, const wl::RequestLog& log,
 
   for (const Scenario& sc : scenarios) {
     // Telemetry export rides the adaptive auto run: the closed loop with
-    // single-pause resizes — the scenario whose timeline completes the
+    // single-step resizes — the scenario whose timeline completes the
     // whole 1 -> 2 -> 4 -> 2 -> 1 round trip within the log.
     const bool telemetry = adaptive && bench::WantRunTelemetry(args) &&
                            sc.scaled && sc.migration_batch == 0;

@@ -18,17 +18,17 @@
 // payload mode off and on, measuring the replicated-write coherence path.
 //
 // A third section ("tuned16") runs the high-shard-count showdown: the
-// pre-PR default configuration (queue_depth=64, batch_size=128, single-op
-// drains, unpinned) against the tuned fast path (the committed swept
-// defaults, batched drains, pinned + first-touched workers) at 16 shards,
-// both spsc+epoch. Both runs must conserve every request (the verdict is
-// the process exit code); the tuned run is the one results/ commits.
+// old default configuration (queue_depth=64, batch_size=128, unpinned)
+// against the tuned fast path (the committed swept defaults, pinned +
+// first-touched workers) at 16 shards, both spsc+epoch. Both runs must
+// conserve every request (the verdict is the process exit code); the tuned
+// run is the one results/ commits.
 //
 // Flags (bench_util): --scale=F --days=F --seed=N --graph=NAME --smoke
 // --csv-dir=PATH --trace=PATH --timeseries=PATH (telemetry export from the
 // spsc+epoch payload-off fabric-comparison run) --shards=A,B,C (replaces
 // the power-of-two sweep) --queue-depth=N --batch-size=N --pin
-// --batched=0|1 --drain=epoch|eager (RuntimeConfig overrides) and --tune
+// --drain=epoch|eager (RuntimeConfig overrides) and --tune
 // (run one configuration, print one parsable "TUNE,..." line — the
 // scripts/tune_runtime.py contract). Extra environment knob:
 // RUNTIME_MAX_SHARDS caps the default sweep.
@@ -58,7 +58,7 @@ namespace {
 // relative to the mutex+epoch baseline at the same shard count.
 constexpr char kCsvHeader[] =
     "section,workload,mode,payload,transport,drain,shards,queue_depth,"
-    "batch_size,pinned,batched,ops_per_sec,speedup,p50_us,p99_us,p999_us,"
+    "batch_size,pinned,ops_per_sec,speedup,p50_us,p99_us,p999_us,"
     "fresh_p99_us\n";
 
 std::vector<std::uint32_t> ShardSweep(const BenchArgs& args) {
@@ -81,7 +81,6 @@ std::vector<std::uint32_t> ShardSweep(const BenchArgs& args) {
 void ApplyTuningFlags(const BenchArgs& args, rt::RuntimeConfig* rt_config) {
   if (args.queue_depth != 0) rt_config->queue_depth = args.queue_depth;
   if (args.batch_size != 0) rt_config->batch_size = args.batch_size;
-  if (args.batched != -1) rt_config->batched_drain = args.batched == 1;
   if (args.pin) {
     rt_config->placement.pin_threads = true;
     rt_config->placement.first_touch = true;
@@ -107,7 +106,6 @@ struct RunRow {
   std::uint32_t queue_depth = 0;
   std::uint32_t batch_size = 0;
   bool pinned = false;
-  bool batched = false;
   double ops_per_sec = 0;
   double speedup = 1.0;
   double balance = 1.0;
@@ -165,7 +163,6 @@ RunRow RunOnce(const WorkloadCase& wc, const rt::RuntimeConfig& rt_config,
   row.queue_depth = rt_config.queue_depth;
   row.batch_size = rt_config.batch_size;
   row.pinned = rt_config.placement.pin_threads;
-  row.batched = rt_config.batched_drain;
   row.ops_per_sec = result.ops_per_sec;
   row.messages = result.totals.messages_sent;
   row.completion = result.completion_percentiles;
@@ -185,7 +182,6 @@ void AppendCsv(const char* section, const char* workload, const char* mode,
   csv->append(std::to_string(row.queue_depth)).append(",");
   csv->append(std::to_string(row.batch_size)).append(",");
   csv->append(row.pinned ? "1" : "0").append(",");
-  csv->append(row.batched ? "1" : "0").append(",");
   csv->append(common::TablePrinter::Fmt(row.ops_per_sec, 1)).append(",");
   csv->append(common::TablePrinter::Fmt(row.speedup, 3)).append(",");
   csv->append(common::TablePrinter::Fmt(row.completion.p50_us, 1)).append(",");
@@ -285,8 +281,8 @@ void RunFabricComparison(WorkloadCase wc, std::uint32_t shards,
 
 // --tune: one configuration, one machine-readable line. The line is the
 // contract scripts/tune_runtime.py parses:
-//   TUNE,shards,queue_depth,batch_size,drain,pinned,batched,ops_per_sec,
-//   p50_us,p99_us,conserved
+//   TUNE,shards,queue_depth,batch_size,drain,pinned,ops_per_sec,p50_us,
+//   p99_us,conserved
 // Exit code reflects the conservation verdict so the harness can reject a
 // configuration that lost work outright.
 int RunTuneMode(const WorkloadCase& wc, const BenchArgs& args) {
@@ -294,26 +290,23 @@ int RunTuneMode(const WorkloadCase& wc, const BenchArgs& args) {
   rt_config.num_shards = args.shards.empty() ? 16 : args.shards.front();
   ApplyTuningFlags(args, &rt_config);
   const RunRow row = RunOnce(wc, rt_config);
-  std::printf("TUNE,%u,%u,%u,%s,%d,%d,%.1f,%.1f,%.1f,%d\n", row.shards,
+  std::printf("TUNE,%u,%u,%u,%s,%d,%.1f,%.1f,%.1f,%d\n", row.shards,
               row.queue_depth, row.batch_size, DrainName(row.drain),
-              row.pinned ? 1 : 0, row.batched ? 1 : 0, row.ops_per_sec,
-              row.completion.p50_us, row.completion.p99_us,
-              row.conserved ? 1 : 0);
+              row.pinned ? 1 : 0, row.ops_per_sec, row.completion.p50_us,
+              row.completion.p99_us, row.conserved ? 1 : 0);
   return row.conserved ? 0 : 1;
 }
 
-// The high-shard-count showdown: pre-PR defaults (queue_depth=64,
-// batch_size=128, single-op drains, unpinned) vs the tuned fast path (the
-// committed swept defaults, batched drains, pinned + first-touched
-// workers), both spsc+epoch so results are bit-comparable. Returns false
-// when either run failed conservation.
+// The high-shard-count showdown: the old defaults (queue_depth=64,
+// batch_size=128, unpinned) vs the tuned fast path (the committed swept
+// defaults, pinned + first-touched workers), both spsc+epoch so results
+// are bit-comparable. Returns false when either run failed conservation.
 bool RunTunedComparison(WorkloadCase wc, std::uint32_t shards,
                         std::string* csv) {
   rt::RuntimeConfig before;  // the pre-PR configuration, frozen
   before.num_shards = shards;
   before.queue_depth = 64;
   before.batch_size = 128;
-  before.batched_drain = false;
 
   rt::RuntimeConfig tuned;  // today's committed defaults + placement
   tuned.num_shards = shards;
@@ -322,9 +315,8 @@ bool RunTunedComparison(WorkloadCase wc, std::uint32_t shards,
 
   std::printf("-- tuned defaults vs pre-PR defaults: %u shards, synthetic "
               "workload, static engine --\n", shards);
-  common::TablePrinter table({"config", "qd", "batch", "pin", "batched",
-                              "ops/sec", "speedup", "p50_us", "p99_us",
-                              "conserved"});
+  common::TablePrinter table({"config", "qd", "batch", "pin", "ops/sec",
+                              "speedup", "p50_us", "p99_us", "conserved"});
   bool all_conserved = true;
   double baseline = 0;
   for (const auto& [label, rt_config] :
@@ -347,7 +339,6 @@ bool RunTunedComparison(WorkloadCase wc, std::uint32_t shards,
     all_conserved = all_conserved && row.conserved;
     table.AddRow({row.label, std::to_string(row.queue_depth),
                   std::to_string(row.batch_size), row.pinned ? "on" : "off",
-                  row.batched ? "on" : "off",
                   common::TablePrinter::Fmt(row.ops_per_sec, 0),
                   common::TablePrinter::Fmt(row.speedup, 2),
                   common::TablePrinter::Fmt(row.completion.p50_us, 1),

@@ -59,8 +59,6 @@ BenchArgs ParseArgs(int argc, char** argv) {
     } else if (ConsumeFlag(arg, "--batch-size=", value)) {
       args.batch_size =
           static_cast<std::uint32_t>(std::atoi(std::string(value).c_str()));
-    } else if (ConsumeFlag(arg, "--batched=", value)) {
-      args.batched = std::atoi(std::string(value).c_str()) != 0 ? 1 : 0;
     } else if (ConsumeFlag(arg, "--drain=", value)) {
       args.drain = std::string(value);
     } else if (ConsumeFlag(arg, "--port=", value)) {

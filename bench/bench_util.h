@@ -47,7 +47,6 @@ struct BenchArgs {
   std::uint32_t queue_depth = 0;   // --queue-depth=N
   std::uint32_t batch_size = 0;    // --batch-size=N
   bool pin = false;                // --pin: pin_threads + first_touch
-  int batched = -1;                // --batched=0|1: batched_drain
   std::string drain;               // --drain=epoch|eager
   // --tune: run exactly one configuration (the first --shards entry) and
   // print one machine-readable "TUNE,..." line — the contract
@@ -65,7 +64,7 @@ struct BenchArgs {
 // Recognized flags: --scale=F --days=F --seed=N --graph=NAME --trials=N
 // --points=A,B,C --all-graphs --smoke --csv-dir=PATH --trace=PATH
 // --timeseries=PATH --shards=A,B,C --queue-depth=N --batch-size=N --pin
-// --batched=0|1 --drain=epoch|eager --tune --port=N --connections=N.
+// --drain=epoch|eager --tune --port=N --connections=N.
 // Environment variable REPRO_SCALE overrides --scale when set.
 BenchArgs ParseArgs(int argc, char** argv);
 

@@ -6,12 +6,12 @@ RuntimeConfig defaults from the results.
 Each grid point is one subprocess run of
 
     bench_runtime_throughput --tune --shards=S --queue-depth=Q \
-        --batch-size=B --drain=D [--pin] --batched=1 ...
+        --batch-size=B --drain=D [--pin] ...
 
 whose single machine-readable line
 
-    TUNE,shards,queue_depth,batch_size,drain,pinned,batched,ops_per_sec,
-    p50_us,p99_us,conserved
+    TUNE,shards,queue_depth,batch_size,drain,pinned,ops_per_sec,p50_us,
+    p99_us,conserved
 
 this script parses. A grid point that fails conservation (conserved=0, or
 a non-zero exit) is disqualified, not averaged away. Results land in a CSV
@@ -36,7 +36,7 @@ import subprocess
 import sys
 
 TUNE_FIELDS = [
-    "shards", "queue_depth", "batch_size", "drain", "pinned", "batched",
+    "shards", "queue_depth", "batch_size", "drain", "pinned",
     "ops_per_sec", "p50_us", "p99_us", "conserved",
 ]
 
@@ -87,12 +87,12 @@ def str_list(text):
 def grid_points(args):
     if args.smoke:
         # The full pipeline (run, parse, conserve, recommend) on the two
-        # poles: single-op unpinned vs batched pinned, both epoch.
+        # poles: unpinned vs pinned, both epoch.
         return [
             {"queue_depth": 64, "batch_size": 128, "drain": "epoch",
-             "pin": False, "batched": False},
+             "pin": False},
             {"queue_depth": 64, "batch_size": 128, "drain": "epoch",
-             "pin": True, "batched": True},
+             "pin": True},
         ]
     points = []
     for qd in int_list(args.queue_depths):
@@ -100,8 +100,7 @@ def grid_points(args):
             for drain in str_list(args.drains):
                 for pin in int_list(args.pin):
                     points.append({"queue_depth": qd, "batch_size": bs,
-                                   "drain": drain, "pin": bool(pin),
-                                   "batched": True})
+                                   "drain": drain, "pin": bool(pin)})
     return points
 
 
@@ -113,7 +112,6 @@ def run_point(args, point):
         f"--queue-depth={point['queue_depth']}",
         f"--batch-size={point['batch_size']}",
         f"--drain={point['drain']}",
-        f"--batched={1 if point['batched'] else 0}",
         f"--scale={args.scale}",
         f"--days={args.days}",
     ]
@@ -138,7 +136,7 @@ def run_point(args, point):
             return None
         row = dict(zip(TUNE_FIELDS, values))
         for key in ("shards", "queue_depth", "batch_size", "pinned",
-                    "batched", "conserved"):
+                    "conserved"):
             row[key] = int(row[key])
         for key in ("ops_per_sec", "p50_us", "p99_us"):
             row[key] = float(row[key])
@@ -180,8 +178,8 @@ def main():
         row["conserved"] = int(all(t["conserved"] for t in trials))
         rows.append(row)
         print(f"[tune] qd={row['queue_depth']} bs={row['batch_size']} "
-              f"drain={row['drain']} pin={row['pinned']} "
-              f"batched={row['batched']}: {row['ops_per_sec']:.0f} ops/s, "
+              f"drain={row['drain']} pin={row['pinned']}: "
+              f"{row['ops_per_sec']:.0f} ops/s, "
               f"p99={row['p99_us']:.1f}us, "
               f"conserved={'yes' if row['conserved'] else 'NO'}")
         if not row["conserved"]:
@@ -206,8 +204,7 @@ def main():
     print(f"[tune]   RuntimeConfig::queue_depth = {best['queue_depth']}")
     print(f"[tune]   RuntimeConfig::batch_size  = {best['batch_size']}")
     print(f"[tune]   ({best['ops_per_sec']:.0f} ops/s, "
-          f"p99={best['p99_us']:.1f}us, pin={best['pinned']}, "
-          f"batched={best['batched']})")
+          f"p99={best['p99_us']:.1f}us, pin={best['pinned']})")
     return 1 if failures else 0
 
 

@@ -15,13 +15,13 @@ Perfetto / chrome://tracing and internally consistent:
     instrumentation (the runtime's span sites are properly bracketed)
 
 With --expect-resize it additionally requires the trace to contain at
-least one reconfiguration event (reconfigure / begin_reconfigure /
-step_migration) AND at least one scaler_decision instant — the CI contract
-for the committed flash-crowd trace in results/. With --expect-fault it
-requires the full fault lifecycle instead: a fault instant, a failover
-span, at least one rebuild_step span, and a rebuild_complete instant, in
-cause-before-effect order (first fault <= first failover <=
-last rebuild_complete, with every rebuild_step in between). With
+least one reconfiguration event (begin_reconfigure / step_migration) AND
+at least one scaler_decision instant — the CI contract for the flash-crowd
+smoke trace. With --expect-fault it requires the full fault lifecycle
+instead: a fault instant, a failover span, at least one rebuild_step span,
+and a rebuild_complete instant, in cause-before-effect order (first
+fault <= first failover <= last rebuild_complete, with every rebuild_step
+in between). With
 --expect-slo it requires the SLO control loop: every scaler_decision
 instant carries the e2e_p99_us and slo_target_us argument keys, at least
 one decision fired with reason "split-slo" and a nonzero decision, and no
@@ -36,7 +36,7 @@ import sys
 SPAN = "X"
 INSTANT = "i"
 METADATA = "M"
-RESIZE_NAMES = {"reconfigure", "begin_reconfigure", "step_migration"}
+RESIZE_NAMES = {"begin_reconfigure", "step_migration"}
 FAULT_NAMES = {"fault", "failover", "rebuild_step", "rebuild_complete"}
 
 
@@ -126,8 +126,8 @@ def check_tracks(real, problems):
 def check_resize(real, problems):
     names = {e["name"] for e in real}
     if not names & RESIZE_NAMES:
-        problems.append("--expect-resize: no reconfigure / begin_reconfigure "
-                        "/ step_migration event in the trace")
+        problems.append("--expect-resize: no begin_reconfigure / "
+                        "step_migration event in the trace")
     if "scaler_decision" not in names:
         problems.append("--expect-resize: no scaler_decision instant "
                         "in the trace")

@@ -174,8 +174,8 @@ class Engine {
   // restores the bound for maintained views).
   void ImportViewState(const ViewStateSnapshot& snap);
 
-  // Batched hand-off for incremental migration (one call per (exporter,
-  // importer) pair and boundary batch): equivalent to the per-view calls
+  // Batched hand-off for online rebuild (one call per contiguous run of
+  // rebuild items with the same source): equivalent to the per-view calls
   // above, in order, with the snapshot buffer reserved once.
   std::vector<ViewStateSnapshot> ExportViewStates(
       std::span<const ViewId> views) const;

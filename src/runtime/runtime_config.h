@@ -380,16 +380,17 @@ struct RuntimeConfig {
   // — far beyond any useful freshness bound, just a runaway stop).
   static constexpr std::uint64_t kMaxTunedStalenessMicros = 1'000'000;
 
-  // Incremental view migration: how many views a reconfiguration hands
-  // over per epoch boundary. 0 (the default) migrates every owner-changing
-  // view in the triggering boundary's single quiesced pause; a positive
-  // value spreads the hand-off over ceil(changed / migration_batch)
-  // consecutive boundaries, bounding each pause to O(migration_batch) view
-  // exports/imports — during the window the ShardMap routes dual-ownership
-  // (migrated views to the new owner, pending views to the old; see
-  // shard_map.h). Only applies to resizes requested while a run is in
-  // progress: between runs there are no boundaries to spread over, so the
-  // hand-off is always a single step. Valid range: any.
+  // View migration batch: how many views a reconfiguration's migration
+  // window hands over per epoch boundary. 0 (the default) is the whole
+  // ledger in one step — the window opens and closes at the triggering
+  // boundary; a positive value spreads the hand-off over
+  // ceil(changed / migration_batch) consecutive boundaries, bounding each
+  // pause to O(migration_batch) view exports/imports — during the window
+  // the ShardMap routes dual-ownership (migrated views to the new owner,
+  // pending views to the old; see shard_map.h). Only applies to resizes
+  // requested while a run is in progress: between runs there are no
+  // boundaries to spread over, so the batch is always the whole ledger.
+  // Valid range: any.
   std::uint32_t migration_batch = 0;
 
   // Shard replication + online rebuild; disabled by default (see
@@ -405,16 +406,6 @@ struct RuntimeConfig {
 
   // Worker placement; disabled by default (see PlacementConfig above).
   PlacementConfig placement;
-
-  // Batched fabric consume: boundary and barrier-assist drains empty each
-  // channel with one Fabric::DrainChannel claim (one acquire/release pair
-  // on the SPSC transport) instead of one TryRecv per batch. false selects
-  // the original single-op pops — kept selectable because under kEpoch the
-  // two paths must produce bit-identical results (runtime_test.cc pins
-  // this), which makes the fast path cheap to audit. The staleness-gated
-  // eager poll always pops one batch at a time regardless (each pop is
-  // gated on the channel's oldest dispatch age).
-  bool batched_drain = true;
 
   // false selects the deterministic inline fallback: the same epoch state
   // machine executed on the calling thread, shard by shard, with no threads

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -272,12 +271,17 @@ void ShardedRuntime::Reconfigure(std::uint32_t new_shard_count) {
   std::lock_guard lock(reconfig_mutex_);
   if (running_) {
     pending_shards_ = new_shard_count;  // applied at the next epoch boundary
-  } else {
-    // An aborted run may have left a migration window open; close it first
-    // (one step — there is no serving to pause between runs), then apply.
-    if (migration_.has_value()) FinishMigrationNow();
-    ApplyReconfigure(new_shard_count, /*threaded=*/false, /*epoch_end=*/0);
+    return;
   }
+  // Between runs there is no serving to pause, so the batch is always the
+  // whole ledger. An aborted run may have left a window open; close it
+  // first, then open (and at once close) the new one.
+  if (migration_.has_value()) {
+    StepMigration(/*batch=*/0, /*epoch_end=*/0, TraceEventType::kStepMigration,
+                  NowNs());
+  }
+  BeginReconfigure(new_shard_count, /*batch=*/0, /*threaded=*/false,
+                   /*epoch_end=*/0);
 }
 
 void ShardedRuntime::ShardAggregates::Fold(const Shard& shard) {
@@ -327,136 +331,18 @@ void ShardedRuntime::RetireShard(Shard& shard) {
   retired_.Fold(shard);
 }
 
-void ShardedRuntime::ApplyReconfigure(std::uint32_t new_count, bool threaded,
+// ----- Migration windows (every resize is one) -----
+
+void ShardedRuntime::BeginReconfigure(std::uint32_t new_count,
+                                      std::uint64_t batch, bool threaded,
                                       SimTime epoch_end) {
   const std::uint32_t old_n = map_.num_shards();
   if (new_count == old_n) return;
-  // Any resize imports view state, so a later placement pass must never
-  // rebuild engines from the initial placement again.
-  engines_pristine_ = false;
-  const std::uint64_t t0 = NowNs();
-  ShardMap new_map(new_count, graph_->num_users(), config_.sharding);
-  // Build the replacement communication plane up front: with the fabric
-  // and the new shard engines (below) allocated before the commit point,
-  // an allocation failure unwinds before any ownership changes hands.
-  auto new_fabric =
-      MakeFabric(config_.transport, new_count, config_.queue_depth + 2);
-
-  // Split: spawn the new shards first so every new owner's engine exists
-  // before the hand-off. Their maintenance slot is seeded from a surviving
-  // engine (ticks are broadcast, so all engines agree on the slot).
-  const std::uint32_t slot = shards_.front()->engine->current_slot();
-  std::uint64_t migrated = 0;
-  try {
-    for (std::uint32_t s = old_n; s < new_count; ++s) {
-      shards_.push_back(MakeShard(s));
-      shards_.back()->engine->SeedSlot(slot);
-    }
-
-    // Hand authority for every view whose owner changes to the new owner's
-    // engine. The old owner keeps a frozen copy, exactly like any non-owned
-    // view under static sharding.
-    for (ViewId v = 0; v < graph_->num_users(); ++v) {
-      const std::uint32_t a = map_.shard_of(v);
-      const std::uint32_t b = new_map.shard_of(v);
-      if (a == b) continue;
-      shards_[b]->engine->ImportViewState(
-          shards_[a]->engine->ExportViewState(v));
-      ++migrated;
-    }
-  } catch (...) {
-    // Unwind to a safe state: drop any shards this resize added. Imports
-    // that already landed need no undo — exports never mutate the source
-    // engine and ownership (map_, committed below) is unchanged, so a
-    // *surviving* engine that imported state merely holds a fresher
-    // non-authoritative copy of a view it still does not own (the same
-    // class of staleness as any non-owned view), while copies imported
-    // into the dropped new shards vanish with them.
-    while (shards_.size() > old_n) shards_.pop_back();
-    throw;
-  }
-
-  // Commit point: from here on only small bookkeeping allocations remain
-  // and the new topology is internally consistent at every step.
-  map_ = std::move(new_map);
-  replicate_writes_ =
-      new_count > 1 && engine_config_.store.payload_mode;
-  InstallMaintenanceOwners();
-  // Rewire the communication plane to the new shard set. Every channel is
-  // empty here (the boundary drain ran while producers were quiescent) and
-  // every outbox was flushed, so nothing in flight is lost.
-  fabric_ = std::move(new_fabric);
-  for (auto& shard : shards_) shard->outbox.assign(new_count, Outbox{});
-
-  // Merge: retire surplus shards — after the commit, so the map never names
-  // engines that no longer exist. Their counters, traffic and histograms
-  // move into the retained accumulators (so merged results keep conserving)
-  // and their workers shut down; surviving workers are untouched.
-  try {
-    while (shards_.size() > new_count) {
-      RetireShard(*shards_.back());
-      shards_.pop_back();
-    }
-  } catch (...) {
-    // A failed fold can no longer conserve (the throwing shard's counters
-    // may be half-merged), but the topology invariant — shards_.size() ==
-    // map_.num_shards() == fabric_->num_shards() — must hold or the next
-    // Run's surplus workers would index the smaller fabric out of bounds.
-    // Drop the remaining surplus without folding, releasing each worker
-    // through the non-allocating queue-close path.
-    while (shards_.size() > new_count) {
-      Shard& doomed = *shards_.back();
-      doomed.tasks.Close();
-      if (doomed.worker.joinable()) doomed.worker.join();
-      shards_.pop_back();
-    }
-    throw;
-  }
-  WireTelemetryTracks();
-  // Rewire the fault-tolerance control plane to the new shard set: all-UP
-  // and (for the replicator) all-fresh — the documented resize
-  // approximation, exact under payload coherence where every peer holds
-  // every payload (docs/fault_tolerance.md).
-  health_.Resize(new_count);
-  if (replicator_ != nullptr) replicator_->Rebase(new_count);
-  if (threaded) {
-    std::vector<std::uint32_t> spawned;
-    for (std::uint32_t s = old_n; s < new_count; ++s) {
-      Shard* sp = shards_[s].get();
-      sp->worker = std::thread([this, sp] { WorkerLoop(*sp); });
-      spawned.push_back(s);
-    }
-    // Mid-run spawns pin and prefault too; never an engine rebuild — their
-    // engines just imported migrated state. Surviving workers are parked at
-    // the boundary, so the placement gate only counts the new arrivals.
-    RunPlacementPhase(spawned, /*rebuild_engines=*/false);
-  }
-
-  ReconfigEvent event;
-  event.epoch_end = epoch_end;
-  event.from_shards = old_n;
-  event.to_shards = new_count;
-  event.views_migrated = migrated;
-  event.pause_ns = NowNs() - t0;
-  AppendReconfigEvent(event, TraceEventType::kReconfigure, t0);
-  // The old per-shard baselines no longer describe this shard set; the
-  // next boundary rebases instead of observing (a retired-then-respawned
-  // shard id must not inherit its predecessor's cumulative stats).
-  scaler_baseline_.clear();
-}
-
-// ----- Incremental migration (bounded batches per epoch boundary) -----
-
-void ShardedRuntime::BeginReconfigure(std::uint32_t new_count, bool threaded,
-                                      SimTime epoch_end) {
-  const std::uint32_t old_n = map_.num_shards();
-  if (new_count == old_n) return;
-  const std::uint32_t batch = config_.migration_batch;
-  if (batch == 0) {
-    ApplyReconfigure(new_count, threaded, epoch_end);
-    return;
-  }
   engines_pristine_ = false;  // the window below imports view state
+  // The per-shard scaler baselines no longer describe the shard set: the
+  // next observed boundary rebases instead, so a shard id retired and later
+  // respawned never diffs against its predecessor's cumulative stats.
+  scaler_baseline_.clear();
 
   const std::uint64_t t0 = NowNs();
   ShardMap target(new_count, graph_->num_users(), config_.sharding);
@@ -478,6 +364,8 @@ void ShardedRuntime::BeginReconfigure(std::uint32_t new_count, bool threaded,
   if (new_count > old_n) {
     auto new_fabric =
         MakeFabric(config_.transport, new_count, config_.queue_depth + 2);
+    // New engines seed their maintenance slot from a surviving engine
+    // (ticks are broadcast, so all engines agree on the slot).
     const std::uint32_t slot = shards_.front()->engine->current_slot();
     try {
       for (std::uint32_t s = old_n; s < new_count; ++s) {
@@ -525,37 +413,26 @@ void ShardedRuntime::BeginReconfigure(std::uint32_t new_count, bool threaded,
 
   // Open the window *before* migrating anything: with the zero-progress
   // transition map and ownership predicates installed, a throw anywhere in
-  // the batch work below (snapshot buffers, engine imports) unwinds into a
-  // consistent open window — every view still routed to its old owner, the
-  // live domain matching the shard set and fabric — that the next boundary
-  // (or a between-runs Reconfigure via FinishMigrationNow) resumes.
+  // the batch work below (engine exports/imports) unwinds into a consistent
+  // open window — every view still routed to its old owner, the live
+  // domain matching the shard set and fabric — that the next boundary (or
+  // a between-runs Reconfigure) resumes.
   migration_.emplace(
       MigrationWindow{std::move(target), old_n, new_count, std::move(ledger), 0});
   map_ = ShardMap::Transition(migration_->target, live, migration_->ledger, 0);
   InstallMaintenanceOwners();
   WireTelemetryTracks();
-  // The window's live domain is the larger shard set; backups reassign over
-  // it for the window's duration (all-UP, all-fresh — see the resize note
-  // in ApplyReconfigure).
+  // Rewire the fault-tolerance control plane to the window's live domain,
+  // the larger shard set: all-UP and (for the replicator) all-fresh — the
+  // documented resize approximation, exact under payload coherence where
+  // every peer holds every payload (docs/fault_tolerance.md).
   health_.Resize(live);
   if (replicator_ != nullptr) replicator_->Rebase(live);
 
-  const std::uint64_t migrated = MigrateNextBatch(batch);
-  const std::uint64_t pending =
-      migration_->ledger->size() - migration_->next;
-  // A ledger that fit one batch opens and closes its window at this same
-  // boundary: one event, no dual-ownership epoch, and the ledger scan
-  // above is part of the reported pause exactly once.
-  if (pending == 0) CompleteMigration();
-  ReconfigEvent event;
-  event.epoch_end = epoch_end;
-  event.from_shards = old_n;
-  event.to_shards = new_count;
-  event.views_migrated = migrated;
-  event.views_pending = pending;
-  event.pause_ns = NowNs() - t0;
-  AppendReconfigEvent(event, TraceEventType::kBeginReconfigure, t0);
-  if (pending == 0) EmitMigrationComplete(old_n, new_count);
+  // The first batch rides this same boundary, and its event carries the
+  // ledger scan and spawn above in its pause. A ledger that fits one batch
+  // opens and closes the window here: no dual-ownership epoch.
+  StepMigration(batch, epoch_end, TraceEventType::kBeginReconfigure, t0);
 }
 
 std::uint64_t ShardedRuntime::MigrateNextBatch(std::uint64_t batch) {
@@ -563,20 +440,18 @@ std::uint64_t ShardedRuntime::MigrateNextBatch(std::uint64_t batch) {
   const ShardMap::PendingLedger& ledger = *w.ledger;
   const std::size_t begin = w.next;
   const std::size_t end =
-      std::min(ledger.size(), begin + static_cast<std::size_t>(batch));
+      batch == 0 ? ledger.size()
+                 : std::min(ledger.size(),
+                            begin + static_cast<std::size_t>(batch));
 
-  // Group the batch by (exporter, importer) pair and hand each group over
-  // through the engines' batched snapshot API. The exporter is the view's
-  // *current* owner — its old shard, since views migrate exactly once.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<ViewId>>
-      groups;
+  // Hand authority for each view to its new owner's engine, in ledger
+  // order. The exporter is the view's old owner (views migrate exactly
+  // once), which keeps a frozen copy, like any non-owned view under static
+  // sharding.
   for (std::size_t i = begin; i < end; ++i) {
     const auto [v, from] = ledger[i];
-    groups[{from, w.target.shard_of(v)}].push_back(v);
-  }
-  for (const auto& [route, views] : groups) {
-    shards_[route.second]->engine->ImportViewStates(
-        shards_[route.first]->engine->ExportViewStates(views));
+    shards_[w.target.shard_of(v)]->engine->ImportViewState(
+        shards_[from]->engine->ExportViewState(v));
   }
   w.next = end;
 
@@ -597,8 +472,9 @@ void ShardedRuntime::CompleteMigration() {
   assert(w.next == w.ledger->size() && "completion requires an empty ledger");
   const std::uint32_t new_count = w.to_shards;
 
-  // Mirror ApplyReconfigure's commit order: fabric allocated up front, map
-  // committed before surplus shards disappear, retirement last.
+  // Commit order: the fabric is allocated up front, the map is committed
+  // before surplus shards disappear (so it never names engines that no
+  // longer exist), and retirement comes last.
   std::unique_ptr<Fabric> new_fabric;
   if (new_count < w.from_shards) {
     new_fabric =
@@ -608,16 +484,26 @@ void ShardedRuntime::CompleteMigration() {
   replicate_writes_ = new_count > 1 && engine_config_.store.payload_mode;
   InstallMaintenanceOwners();
   if (new_fabric != nullptr) {
+    // Every channel is empty here (the boundary drain ran while producers
+    // were quiescent) and every outbox was flushed, so nothing in flight is
+    // lost.
     fabric_ = std::move(new_fabric);
     for (auto& shard : shards_) shard->outbox.assign(new_count, Outbox{});
+    // Retired shards' counters, traffic and histograms move into the
+    // retained accumulators (so merged results keep conserving) and their
+    // workers shut down; surviving workers are untouched.
     try {
       while (shards_.size() > new_count) {
         RetireShard(*shards_.back());
         shards_.pop_back();
       }
     } catch (...) {
-      // Same reasoning as ApplyReconfigure's merge unwind: conservation is
-      // already lost, but the shards/map/fabric size invariant must hold.
+      // A failed fold can no longer conserve (the throwing shard's counters
+      // may be half-merged), but the topology invariant — shards_.size() ==
+      // map_.num_shards() == fabric_->num_shards() — must hold or the next
+      // Run's surplus workers would index the smaller fabric out of bounds.
+      // Drop the remaining surplus without folding, releasing each worker
+      // through the non-allocating queue-close path.
       while (shards_.size() > new_count) {
         Shard& doomed = *shards_.back();
         doomed.tasks.Close();
@@ -630,21 +516,19 @@ void ShardedRuntime::CompleteMigration() {
   }
   health_.Resize(new_count);
   if (replicator_ != nullptr) replicator_->Rebase(new_count);
-  // No baseline clear here, unlike ApplyReconfigure: a split window's
-  // completion leaves the shard set exactly as it has been since the
-  // window opened (so the boundary-maintained baseline is still a valid
-  // pairing), and a merge completion changes the set's size, which forces
-  // a rebase on its own. Clearing would waste one observation epoch per
-  // window — enough to miss a merge near the end of a run.
+  // The scaler baseline was cleared when the window opened and is not
+  // cleared again here: a split window's completion leaves the shard set
+  // as it has been since then (so the boundary-maintained baseline is
+  // still a valid pairing), and a merge completion changes the set's size,
+  // which forces a rebase on its own. Clearing would waste one observation
+  // epoch per window — enough to miss a merge near the end of a run.
   migration_.reset();
 }
 
-// The kCompleteMigration instant is emitted by the *callers* of
-// CompleteMigration, after they append their own step/begin event: the
-// step span carries ts = its start, so emitting the (later-stamped)
+// The kCompleteMigration instant is emitted after the step's own event:
+// the step span carries ts = its start, so emitting the (later-stamped)
 // completion instant first would break the track's chronological order.
-// Never reached on the exception path — a throw unwinds before the caller
-// gets here.
+// Never reached on the exception path — a throw unwinds before it.
 void ShardedRuntime::EmitMigrationComplete(std::uint32_t from_shards,
                                            std::uint32_t to_shards) {
   if (telemetry_ == nullptr) return;
@@ -657,11 +541,11 @@ void ShardedRuntime::EmitMigrationComplete(std::uint32_t from_shards,
   telemetry_->dispatcher_track()->Emit(e);
 }
 
-void ShardedRuntime::StepMigration(SimTime epoch_end) {
-  const std::uint64_t t0 = NowNs();
+void ShardedRuntime::StepMigration(std::uint64_t batch, SimTime epoch_end,
+                                   TraceEventType type, std::uint64_t t0) {
   const std::uint32_t from = migration_->from_shards;
   const std::uint32_t to = migration_->to_shards;
-  const std::uint64_t migrated = MigrateNextBatch(config_.migration_batch);
+  const std::uint64_t migrated = MigrateNextBatch(batch);
   const std::uint64_t pending = migration_->ledger->size() - migration_->next;
   if (pending == 0) CompleteMigration();
   ReconfigEvent event;
@@ -671,24 +555,8 @@ void ShardedRuntime::StepMigration(SimTime epoch_end) {
   event.views_migrated = migrated;
   event.views_pending = pending;
   event.pause_ns = NowNs() - t0;
-  AppendReconfigEvent(event, TraceEventType::kStepMigration, t0);
+  AppendReconfigEvent(event, type, t0);
   if (pending == 0) EmitMigrationComplete(from, to);
-}
-
-void ShardedRuntime::FinishMigrationNow() {
-  const std::uint32_t from = migration_->from_shards;
-  const std::uint32_t to = migration_->to_shards;
-  const std::uint64_t t0 = NowNs();
-  const std::uint64_t migrated =
-      MigrateNextBatch(migration_->ledger->size() - migration_->next);
-  CompleteMigration();
-  ReconfigEvent event;
-  event.from_shards = from;
-  event.to_shards = to;
-  event.views_migrated = migrated;
-  event.pause_ns = NowNs() - t0;
-  AppendReconfigEvent(event, TraceEventType::kStepMigration, t0);
-  EmitMigrationComplete(from, to);
 }
 
 void ShardedRuntime::JoinCompletionsAtBoundary() {
@@ -993,21 +861,28 @@ void ShardedRuntime::ApplyScheduledKills(std::uint64_t epoch_index) {
     // Rebuild and migration never interleave: a kill landing inside an open
     // migration window force-finishes the window first (one step — the
     // serialization of topology changes, DAOS pool-map style).
-    if (migration_.has_value()) FinishMigrationNow();
+    if (migration_.has_value()) {
+      StepMigration(/*batch=*/0, boundary_epoch_end_,
+                    TraceEventType::kStepMigration, NowNs());
+    }
     if (f.shard >= shards_.size()) continue;  // retired by a resize: no-op
     KillShardAtBoundary(f.shard, boundary_epoch_end_);
   }
 }
 
 void ShardedRuntime::KillShard(std::uint32_t shard) {
-  if (migration_.has_value()) FinishMigrationNow();
+  const SimTime epoch_end = running_ ? boundary_epoch_end_ : 0;
+  if (migration_.has_value()) {
+    StepMigration(/*batch=*/0, epoch_end, TraceEventType::kStepMigration,
+                  NowNs());
+  }
   if (shard >= shards_.size()) {
     throw std::invalid_argument(
         "ShardedRuntime::KillShard: no such shard — the id is outside the "
         "live shard set (it may have been retired by a resize, including "
         "the migration window this kill just force-finished)");
   }
-  KillShardAtBoundary(shard, running_ ? boundary_epoch_end_ : 0);
+  KillShardAtBoundary(shard, epoch_end);
   // Between runs there are no boundaries to ride: complete the rebuild now,
   // still batch by batch so every step stays bounded and reported.
   if (!running_) {
@@ -1690,7 +1565,6 @@ void ShardedRuntime::DrainEpoch(Shard& shard) {
   const std::uint64_t t0 = telem != nullptr ? NowNs() : 0;
   auto& batches = shard.drain_batches;
   batches.clear();
-  const bool batched = config_.batched_drain;
   std::size_t claims = 0;
   for (std::uint32_t src = 0; src < map_.num_shards(); ++src) {
     if (src == shard.id) continue;
@@ -1700,19 +1574,12 @@ void ShardedRuntime::DrainEpoch(Shard& shard) {
       const std::uint64_t depth = fabric_->Depth(src, shard.id);
       if (depth > telem->fabric_max_depth) telem->fabric_max_depth = depth;
     }
-    if (batched) {
-      // One synchronized claim empties the whole channel: the producer is
-      // quiescent behind the flush barrier, so a single acquire observes
-      // everything it published, and one release frees all the slots.
-      if (fabric_->DrainChannel(src, shard.id, batches,
-                                std::numeric_limits<std::size_t>::max()) !=
-          0) {
-        ++claims;
-      }
-    } else {
-      while (auto batch = fabric_->TryRecv(src, shard.id)) {
-        batches.push_back(std::move(*batch));
-      }
+    // One synchronized claim empties the whole channel: the producer is
+    // quiescent behind the flush barrier, so a single acquire observes
+    // everything it published, and one release frees all the slots.
+    if (fabric_->DrainChannel(src, shard.id, batches,
+                              std::numeric_limits<std::size_t>::max()) != 0) {
+      ++claims;
     }
   }
   const std::size_t batch_count = batches.size();
@@ -1748,7 +1615,7 @@ void ShardedRuntime::EagerPoll(Shard& shard, bool ignore_staleness) {
   std::size_t claims = 0;
   for (std::uint32_t src = 0; src < map_.num_shards(); ++src) {
     if (src == shard.id) continue;
-    if (ignore_staleness && config_.batched_drain) {
+    if (ignore_staleness) {
       // Barrier-assist poll: no staleness gate, so the whole channel can be
       // claimed at once. The producer may still be mid-flush — anything it
       // publishes after this claim is caught by the enclosing retry loop.
@@ -1760,14 +1627,12 @@ void ShardedRuntime::EagerPoll(Shard& shard, bool ignore_staleness) {
       continue;
     }
     for (;;) {
-      if (!ignore_staleness) {
-        const std::uint64_t oldest = fabric_->OldestDispatchNs(src, shard.id);
-        // Serve only batches that have aged past the staleness bound; the
-        // rest wait for a later poll or the epoch-boundary drain. This gate
-        // re-checks per batch, which is why the staleness path keeps
-        // single-op pops even when batched_drain is on.
-        if (oldest == 0 || oldest > now || now - oldest < min_age_ns) break;
-      }
+      // Serve only batches that have aged past the staleness bound; the
+      // rest wait for a later poll or the epoch-boundary drain. This gate
+      // re-checks per batch, which is why the staleness path pops one
+      // batch at a time.
+      const std::uint64_t oldest = fabric_->OldestDispatchNs(src, shard.id);
+      if (oldest == 0 || oldest > now || now - oldest < min_age_ns) break;
       auto batch = fabric_->TryRecv(src, shard.id);
       if (!batch) break;
       batches.push_back(std::move(*batch));
@@ -1821,6 +1686,37 @@ void ShardedRuntime::RunTicks(Shard& shard, std::span<const SimTime> ticks) {
   }
 }
 
+void ShardedRuntime::ExecuteBatch(Shard& shard,
+                                  std::span<const SeqRequest> requests) {
+  TelemetryTrack* const telem = shard.telem;
+  const std::uint64_t t0 = telem != nullptr ? NowNs() : 0;
+  for (const SeqRequest& sr : requests) ExecuteRequest(shard, sr);
+  if (telem != nullptr) {
+    const std::uint64_t now = NowNs();
+    telem->compute_ns += now - t0;
+    TraceEvent e;
+    e.type = TraceEventType::kBatch;
+    e.ts_ns = t0;
+    e.dur_ns = now - t0;
+    e.epoch = shard.stats.epochs;
+    e.u0 = requests.size();
+    telem->Emit(e);
+  }
+  if (config_.drain == DrainPolicy::kEager) {
+    // Ship staged remote work early and serve whatever inbound work has
+    // aged past the staleness bound — the sub-epoch freshness path.
+    TryFlushOutboxes(shard);
+    EagerPoll(shard, /*ignore_staleness=*/false);
+  }
+}
+
+void ShardedRuntime::FinishEpoch(Shard& shard,
+                                 std::span<const SimTime> ticks) {
+  DrainEpoch(shard);
+  RunTicks(shard, ticks);
+  ++shard.stats.epochs;
+}
+
 void ShardedRuntime::WorkerLoop(Shard& shard) {
   const bool eager = config_.drain == DrainPolicy::kEager;
   bool awaiting_drain = false;
@@ -1862,41 +1758,16 @@ void ShardedRuntime::WorkerLoop(Shard& shard) {
     if (!task || task->kind == Task::Kind::kShutdown) return;
     awaiting_drain = false;
     switch (task->kind) {
-      case Task::Kind::kRequests: {
-        TelemetryTrack* const telem = shard.telem;
-        const std::uint64_t t0 = telem != nullptr ? NowNs() : 0;
-        for (const SeqRequest& sr : task->requests) {
-          ExecuteRequest(shard, sr);
-        }
-        if (telem != nullptr) {
-          const std::uint64_t now = NowNs();
-          telem->compute_ns += now - t0;
-          TraceEvent e;
-          e.type = TraceEventType::kBatch;
-          e.ts_ns = t0;
-          e.dur_ns = now - t0;
-          e.epoch = shard.stats.epochs;
-          e.u0 = task->requests.size();
-          telem->Emit(e);
-        }
-        if (eager) {
-          // Ship staged remote work early and serve whatever inbound work
-          // has aged past the staleness bound — the sub-epoch freshness
-          // path.
-          TryFlushOutboxes(shard);
-          EagerPoll(shard, /*ignore_staleness=*/false);
-        }
+      case Task::Kind::kRequests:
+        ExecuteBatch(shard, task->requests);
         break;
-      }
       case Task::Kind::kEndEpoch:
         FlushForEpoch(shard);
         gate_.Arrive();
         awaiting_drain = true;
         break;
       case Task::Kind::kDrainEpoch:
-        DrainEpoch(shard);
-        RunTicks(shard, task->ticks);
-        ++shard.stats.epochs;
+        FinishEpoch(shard, task->ticks);
         gate_.Arrive();
         break;
       case Task::Kind::kPlace:
@@ -1971,7 +1842,6 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
   const SimTime slot = engine_config_.slot_seconds;
   const SimTime epoch = epoch_;
   const bool threaded = config_.spawn_threads;
-  const bool eager = config_.drain == DrainPolicy::kEager;
 
   if (threaded) {
     for (auto& shard : shards_) {
@@ -2026,30 +1896,23 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
       staging[s] = {};
     } else {
       // Inline fallback: the dispatcher thread is the single writer of
-      // every shard's accumulators and track, so the same instrumentation
-      // applies — compute time per batch, with eager serves self-timed.
-      TelemetryTrack* const telem = shards_[s]->telem;
-      const std::uint64_t t0 = telem != nullptr ? NowNs() : 0;
-      for (const SeqRequest& sr : staging[s]) {
-        ExecuteRequest(*shards_[s], sr);
-      }
-      if (telem != nullptr) {
-        const std::uint64_t now = NowNs();
-        telem->compute_ns += now - t0;
-        TraceEvent e;
-        e.type = TraceEventType::kBatch;
-        e.ts_ns = t0;
-        e.dur_ns = now - t0;
-        e.epoch = shards_[s]->stats.epochs;
-        e.u0 = staging[s].size();
-        telem->Emit(e);
-      }
+      // every shard's accumulators and track, so the same execution body
+      // and instrumentation apply.
+      ExecuteBatch(*shards_[s], staging[s]);
       staging[s].clear();
-      if (eager) {
-        TryFlushOutboxes(*shards_[s]);
-        EagerPoll(*shards_[s], /*ignore_staleness=*/false);
-      }
     }
+  };
+
+  // Re-derives the dispatch shape after anything that may have changed the
+  // shard set. Every staged batch was flushed before the boundary and the
+  // queue samples folded, so resizing loses nothing; the telemetry
+  // baselines are reshaped too — nothing ran since the boundary's sample.
+  const auto reshape = [&] {
+    n = map_.num_shards();
+    staging.resize(n);
+    backlog_sum.resize(n);
+    backlog_batches.resize(n);
+    ResetTelemetryBaselines();
   };
 
   // Baselines for the per-epoch metric deltas: each run samples activity
@@ -2076,9 +1939,9 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
 
     if (threaded) {
       // One arrival per boundary task pushed below. shards_.size() == n on
-      // every path (ApplyReconfigure restores the invariant even when it
-      // unwinds), but deriving the count from the same container the push
-      // loops iterate keeps the barrier matched by construction.
+      // every path (a resize restores the invariant even when it unwinds),
+      // but deriving the count from the same container the push loops
+      // iterate keeps the barrier matched by construction.
       const auto arrivals = static_cast<std::uint32_t>(shards_.size());
       for (auto& shard : shards_) {
         Task task;
@@ -2114,11 +1977,7 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
       // Same pre-drain fault point as the threaded path — the inline
       // dispatcher owns every endpoint throughout.
       ApplyChannelFaultsAtBoundary(epoch_index, epoch_end);
-      for (auto& shard : shards_) {
-        DrainEpoch(*shard);
-        RunTicks(*shard, ticks);
-        ++shard->stats.epochs;
-      }
+      for (auto& shard : shards_) FinishEpoch(*shard, ticks);
     }
 
     // The boundary is the runtime's quiescent point: every request
@@ -2158,13 +2017,7 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
     // A kill (from the injector or a hook's KillShard) inside an open
     // migration window force-finished the window, which can retire shards;
     // re-derive the dispatch shape before anything below indexes by n.
-    if (n != map_.num_shards()) {
-      n = map_.num_shards();
-      staging.resize(n);
-      backlog_sum.resize(n);
-      backlog_batches.resize(n);
-      ResetTelemetryBaselines();
-    }
+    if (n != map_.num_shards()) reshape();
     TuneStalenessAtBoundary();
     ObserveEpochForScaler(epoch_index);
     ++epoch_index;
@@ -2184,21 +2037,12 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
       // every one after, until the windows drain.
       stepped_rebuilds = StepRebuilds(epoch_end);
     } else if (migration_.has_value()) {
-      StepMigration(epoch_end);
-      n = map_.num_shards();
-      staging.resize(n);  // all staged batches were flushed pre-boundary
-      backlog_sum.resize(n);  // and the queue samples folded above
-      backlog_batches.resize(n);
-      // Reshape the sampling baselines to the (possibly) new shard set —
-      // nothing ran since the sample above, so no activity is lost.
-      ResetTelemetryBaselines();
+      StepMigration(config_.migration_batch, epoch_end,
+                    TraceEventType::kStepMigration, NowNs());
+      reshape();
     } else if (pending != 0 && pending != n) {
-      BeginReconfigure(pending, threaded, epoch_end);
-      n = map_.num_shards();
-      staging.resize(n);
-      backlog_sum.resize(n);
-      backlog_batches.resize(n);
-      ResetTelemetryBaselines();
+      BeginReconfigure(pending, config_.migration_batch, threaded, epoch_end);
+      reshape();
     }
     if (telemetry_ != nullptr) epoch_start_ns = NowNs();
 
@@ -2238,7 +2082,8 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
     const std::uint32_t leftover = pending_shards_;
     pending_shards_ = 0;
     if (leftover != 0) {
-      ApplyReconfigure(leftover, /*threaded=*/false, /*epoch_end=*/0);
+      BeginReconfigure(leftover, /*batch=*/0, /*threaded=*/false,
+                       /*epoch_end=*/0);
     }
   }
   return result;

@@ -33,23 +33,20 @@
 //
 // Online reconfiguration: Reconfigure(n) requests a shard-count change that
 // takes effect at the next epoch boundary — the deterministic drain point
-// where every worker is quiescent and every fabric channel is empty. The
-// runtime then splits or merges shard ownership in place: new shard engines
-// are spawned (split) or surplus shards retired (merge, their counters and
-// histograms folded into retained accumulators so merged totals keep
-// conserving), every view whose owner changes hands over its engine state
-// (Engine::ExportViewState/ImportViewState), the per-(source, destination)
-// fabric is rebuilt for the new shard set, and the run resumes — surviving
-// worker threads are never restarted and no request is dropped.
-//
-// With RuntimeConfig::migration_batch set, the hand-off is *incremental*:
-// each boundary migrates at most migration_batch views and installs a
-// transition ShardMap that routes migrated views to their new owner and
-// pending views to their old one (dual ownership, see shard_map.h), so the
-// serving pause per boundary is O(migration_batch) instead of O(id space).
-// During a merge's transition window the retiring shards stay live until
-// their last view has migrated away; the fabric is rebuilt and they are
-// retired only at the final batch.
+// where every worker is quiescent and every fabric channel is empty. Every
+// resize is a migration window: new shard engines are spawned (split), the
+// views whose owner changes hand over their engine state one at a time
+// (Engine::ExportViewState/ImportViewState) in batches of
+// RuntimeConfig::migration_batch per boundary, and a transition ShardMap
+// routes migrated views to their new owner and pending views to their old
+// one (dual ownership, see shard_map.h), so the serving pause per boundary
+// is O(migration_batch). After the last batch the window closes: surplus
+// shards retire (merge, their counters and histograms folded into retained
+// accumulators so merged totals keep conserving) and the per-(source,
+// destination) fabric is rebuilt for the new shard set. A batch of 0 — and
+// every between-runs resize — is the whole ledger, so the window opens and
+// closes at one boundary. Surviving worker threads are never restarted and
+// no request is dropped.
 //
 // With RuntimeConfig::scaler.enabled, an rt::AutoScaler closes the loop:
 // at every boundary it consumes the per-epoch ShardStats deltas and
@@ -212,15 +209,15 @@ struct LatencyPercentiles {
 
 LatencyPercentiles SummarizeLatency(const common::LatencyHistogram& h);
 
-// One reconfiguration step (RuntimeResult::reconfig_events). A single-pause
-// resize (RuntimeConfig::migration_batch == 0, or a between-runs apply)
-// produces exactly one event covering the whole hand-off. An incremental
-// resize produces one event per epoch boundary that migrated a batch —
-// from_shards/to_shards repeat the overall old/new counts on every step,
-// views_migrated counts only that step's batch, and views_pending says how
-// many are still awaiting hand-off afterwards, so the final step of the
-// window is the event with views_pending == 0 (it also carries the
-// completion work: retiring surplus shards and rebuilding the fabric).
+// One migration-window step (RuntimeResult::reconfig_events): one event per
+// epoch boundary that migrated a batch, so a single-step resize
+// (RuntimeConfig::migration_batch == 0, or a between-runs apply) produces
+// exactly one. from_shards/to_shards repeat the overall old/new counts on
+// every step, views_migrated counts only that step's batch, and
+// views_pending says how many are still awaiting hand-off afterwards, so
+// the final step of the window is the event with views_pending == 0 (it
+// also carries the completion work: retiring surplus shards and rebuilding
+// the fabric).
 //
 // Written by the dispatcher thread at quiescent points only; a run's result
 // copies the accumulated list, so events are plain values thereafter.
@@ -237,9 +234,9 @@ struct ReconfigEvent {
   std::uint64_t views_migrated = 0;  // views handed over in this step
   std::uint64_t views_pending = 0;   // still dual-owned after this step
   // Wall-clock the dispatcher spent applying this step while every worker
-  // was quiesced — the serving pause the step costs. Incremental migration
-  // exists to bound this per step: max pause_ns over a transition window is
-  // O(migration_batch), vs O(owner-changing views) for a single pause.
+  // was quiesced — the serving pause the step costs. Batching exists to
+  // bound this per step: max pause_ns over a transition window is
+  // O(migration_batch), vs O(owner-changing views) for a single step.
   std::uint64_t pause_ns = 0;
 };
 
@@ -411,7 +408,7 @@ class ShardedRuntime {
   // in one step). A request that lands after a run's last boundary is
   // applied when that run completes (never deferred to a later run). The
   // latest request within an epoch wins; requesting the current count is a
-  // no-op. While an incremental migration window is open, new requests stay
+  // no-op. While a multi-step migration window is open, new requests stay
   // parked (latest still wins) until the window closes, then apply at the
   // next boundary — transitions never nest. Throws std::invalid_argument
   // for 0. If an exception unwinds Run (e.g. a throwing epoch hook), a
@@ -669,23 +666,19 @@ class ShardedRuntime {
   // Folds a retiring shard's counters, stats, traffic and histograms into
   // the retained accumulators and shuts down its worker if one is running.
   void RetireShard(Shard& shard);
-  // Applies a shard-count change in one quiesced pause. Epoch-boundary
-  // only: every worker must be quiescent and every fabric channel empty
-  // (or no run in progress).
-  void ApplyReconfigure(std::uint32_t new_count, bool threaded,
-                        SimTime epoch_end);
 
-  // ----- Incremental migration (RuntimeConfig::migration_batch > 0) -----
+  // ----- Migration windows: the one resize state machine -----
   //
-  // All three run on the dispatcher thread at quiescent points. Begin
-  // decides between the single-pause path and opening a migration window
-  // (ledger of owner-changing views + transition map); Step migrates the
-  // next batch at each subsequent boundary and closes the window after the
-  // last one (merge: retire surplus shards, rebuild the fabric); Finish
-  // drains every remaining batch in one step — the between-runs path for a
-  // window an aborted run left open.
+  // All run on the dispatcher thread at quiescent points (every worker
+  // parked and every fabric channel empty, or no run in progress). Begin
+  // opens a window (ledger of owner-changing views + transition map) and
+  // migrates its first batch; Step migrates the next batch at each
+  // subsequent boundary and closes the window after the last one (merge:
+  // retire surplus shards, rebuild the fabric). A batch of 0 is the rest of
+  // the ledger: the mid-run migration_batch == 0 resize, every between-runs
+  // resize, and the force-finish a kill applies to an open window.
 
-  // One in-flight incremental resize; at most one exists at a time.
+  // One in-flight resize; at most one exists at a time.
   struct MigrationWindow {
     ShardMap target;    // the pure map being migrated toward
     std::uint32_t from_shards = 0;
@@ -698,12 +691,16 @@ class ShardedRuntime {
     std::size_t next = 0;
   };
 
-  void BeginReconfigure(std::uint32_t new_count, bool threaded,
-                        SimTime epoch_end);
-  void StepMigration(SimTime epoch_end);
-  void FinishMigrationNow();
-  // Migrates ledger entries [window.next, window.next + batch) and installs
-  // the matching transition (or final) map; returns the views handed over.
+  // `threaded` spawns workers for split shards (mid-run only).
+  void BeginReconfigure(std::uint32_t new_count, std::uint64_t batch,
+                        bool threaded, SimTime epoch_end);
+  // Records the step as a `type` event (kBeginReconfigure for a window's
+  // first batch, kStepMigration otherwise) whose pause starts at `t0`.
+  void StepMigration(std::uint64_t batch, SimTime epoch_end,
+                     TraceEventType type, std::uint64_t t0);
+  // Hands ledger entries [window.next, window.next + batch) over one view
+  // at a time and installs the matching transition (or final) map; returns
+  // the views handed over.
   std::uint64_t MigrateNextBatch(std::uint64_t batch);
   // Tears down the window after the last batch: retires surplus shards,
   // rebuilds the fabric for the target count, restores the pure map.
@@ -824,9 +821,9 @@ class ShardedRuntime {
   // `type` starting at `start_ns`.
   void AppendReconfigEvent(ReconfigEvent e, TraceEventType type,
                            std::uint64_t start_ns);
-  // Emits the kCompleteMigration instant; called by CompleteMigration's
-  // callers *after* their step/begin event so the dispatcher track stays
-  // chronological (the step span's ts predates the completion stamp).
+  // Emits the kCompleteMigration instant; called by StepMigration *after*
+  // its step/begin event so the dispatcher track stays chronological (the
+  // step span's ts predates the completion stamp).
   void EmitMigrationComplete(std::uint32_t from_shards,
                              std::uint32_t to_shards);
   // Points every live shard at its telemetry track (tracks are created on
@@ -844,6 +841,10 @@ class ShardedRuntime {
   void SampleTelemetryEpoch(std::uint64_t epoch_index, SimTime epoch_end);
 
   void WorkerLoop(Shard& shard);
+  // One request batch on its owning shard — the worker's kRequests task or
+  // the inline dispatcher's flush: the compute span and kBatch event, then
+  // (kEager) the early outbox flush and staleness-gated poll.
+  void ExecuteBatch(Shard& shard, std::span<const SeqRequest> requests);
   void ExecuteRequest(Shard& shard, const SeqRequest& sr);
   // Ships every non-empty outbox batch that fits its channel; returns false
   // when at least one channel was full (the batch stays and keeps
@@ -863,6 +864,9 @@ class ShardedRuntime {
   // ops served (telemetry's drain-event payload).
   std::size_t ServeBatches(Shard& shard);
   void RunTicks(Shard& shard, std::span<const SimTime> ticks);
+  // The shard's side of an epoch boundary after the flush barrier: drain,
+  // tick, count the epoch (kDrainEpoch task or the inline boundary).
+  void FinishEpoch(Shard& shard, std::span<const SimTime> ticks);
 
   RuntimeResult MergeResults(double wall_seconds) const;
 
@@ -896,9 +900,9 @@ class ShardedRuntime {
   std::vector<ReconfigEvent> reconfig_events_;
   ShardAggregates retired_;
 
-  // Incremental-migration window (dispatcher only; empty when no window is
-  // open). While engaged, map_ is a transition map and pending Reconfigure
-  // requests stay parked.
+  // Migration window (dispatcher only; empty when no window is open — a
+  // single-step resize opens and closes it at one boundary). While engaged,
+  // map_ is a transition map and pending Reconfigure requests stay parked.
   std::optional<MigrationWindow> migration_;
 
   // Fault-tolerance state (all dispatcher only, quiescent points).
@@ -919,8 +923,8 @@ class ShardedRuntime {
 
   // Closed-loop policy (dispatcher only; null unless scaler.enabled). The
   // baseline holds each live shard's cumulative stats at the previous
-  // boundary; it is rebased (and the observation skipped) whenever the
-  // shard set changed size since.
+  // boundary; it is rebased (and the observation skipped) whenever a
+  // resize began or the shard set changed size since.
   std::unique_ptr<AutoScaler> scaler_;
   std::vector<ShardStats> scaler_baseline_;
 

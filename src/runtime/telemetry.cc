@@ -54,7 +54,6 @@ const char* EventName(TraceEventType type) {
     case TraceEventType::kEagerDrain: return "eager_drain";
     case TraceEventType::kBarrierWait: return "barrier_wait";
     case TraceEventType::kMaintenance: return "maintenance";
-    case TraceEventType::kReconfigure: return "reconfigure";
     case TraceEventType::kBeginReconfigure: return "begin_reconfigure";
     case TraceEventType::kStepMigration: return "step_migration";
     case TraceEventType::kCompleteMigration: return "complete_migration";
@@ -100,7 +99,6 @@ void AppendArgs(std::string& out, const TraceEvent& e) {
       AppendU64(out, "batches", e.u0, &first);
       AppendU64(out, "ops", e.u1, &first);
       break;
-    case TraceEventType::kReconfigure:
     case TraceEventType::kBeginReconfigure:
     case TraceEventType::kStepMigration:
       AppendU64(out, "from_shards", e.u0, &first);

@@ -57,7 +57,6 @@ enum class TraceEventType : std::uint8_t {
   kEagerDrain,     // worker: staleness-gated mid-epoch serve (kEager)
   kBarrierWait,    // worker: parked between flush-arrive and the drain task
   kMaintenance,    // worker: engine ticks at the boundary
-  kReconfigure,    // dispatcher: single-pause resize
   kBeginReconfigure,   // dispatcher: migration window opened (first batch)
   kStepMigration,      // dispatcher: one incremental migration batch
   kCompleteMigration,  // dispatcher: window closed (instant)
@@ -77,7 +76,7 @@ enum class TraceEventType : std::uint8_t {
 //   kBatch            u0=requests
 //   kDrain/kEagerDrain u0=batches served, u1=ops served
 //   kMaintenance      u0=ticks run
-//   kReconfigure/kBeginReconfigure/kStepMigration
+//   kBeginReconfigure/kStepMigration
 //                     u0=from_shards, u1=to_shards, u2=views_migrated,
 //                     u3=views_pending, u4=reconfig sequence id
 //   kCompleteMigration u0=from_shards, u1=to_shards

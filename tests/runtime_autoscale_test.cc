@@ -562,6 +562,40 @@ TEST(RuntimeAutoScaleTest, BetweenRunsReconfigureIsAlwaysSingleStep) {
   EXPECT_EQ(result.reconfig_events.front().views_pending, 0u);
 }
 
+TEST(RuntimeAutoScaleTest, RespawnedShardsRebaseScalerBaseline) {
+  const auto g = TestGraph(400);
+  const auto log = TestLog(g, 0.5);
+  const sim::ExperimentConfig config = BaseConfig(/*adaptive=*/false);
+  const RuntimeFixture fx = MakeFixture(g, config);
+
+  // Every trigger off: the scaler only observes, so the shard count moves
+  // only through the between-runs requests below.
+  RuntimeConfig rt_config;
+  rt_config.num_shards = 4;
+  rt_config.scaler.enabled = true;
+  rt_config.scaler.min_shards = 1;
+  rt_config.scaler.max_shards = 4;
+  ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine, rt_config);
+  runtime.Run(log);
+  const std::size_t first_run = runtime.auto_scaler()->history().size();
+  ASSERT_GT(first_run, 0u);
+
+  // Shards 2 and 3 retire and come back with fresh stats — the same size
+  // as the first run's last baseline, which must not pair with them.
+  runtime.Reconfigure(2);
+  runtime.Reconfigure(4);
+  ASSERT_EQ(runtime.num_shards(), 4u);
+  runtime.Run(log);
+
+  // The second run's first boundary rebases instead of observing.
+  const std::vector<ScalerObservation>& history =
+      runtime.auto_scaler()->history();
+  ASSERT_GT(history.size(), first_run);
+  for (std::size_t i = first_run; i < history.size(); ++i) {
+    EXPECT_NE(history[i].epoch_index, 0u) << "observation " << i;
+  }
+}
+
 TEST(RuntimeAutoScaleTest, PayloadCoherenceSurvivesIncrementalMerge) {
   const auto g = TestGraph(400);
   const auto log = TestLog(g);

@@ -238,7 +238,11 @@ TEST(RuntimeTelemetryTest, ChromeTraceIsWellFormedAndChronological) {
   EXPECT_GE(epochs_seen, 10u);  // 12 epochs in a half-day log
   EXPECT_GE(CountEvents(snap, TraceEventType::kBatch), 1u);
   EXPECT_GE(CountEvents(snap, TraceEventType::kDrain), 1u);
-  EXPECT_EQ(CountEvents(snap, TraceEventType::kReconfigure), 1u);
+  // The split is a single-step migration window: it opens and closes at
+  // one boundary.
+  EXPECT_EQ(CountEvents(snap, TraceEventType::kBeginReconfigure), 1u);
+  EXPECT_EQ(CountEvents(snap, TraceEventType::kStepMigration), 0u);
+  EXPECT_EQ(CountEvents(snap, TraceEventType::kCompleteMigration), 1u);
 
   const std::string json = ChromeTraceJson(snap);
   ExpectBalancedJson(json);
@@ -247,7 +251,8 @@ TEST(RuntimeTelemetryTest, ChromeTraceIsWellFormedAndChronological) {
   EXPECT_NE(json.find("\"dispatcher\""), std::string::npos);
   EXPECT_NE(json.find("\"shard 3\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"reconfigure\""), std::string::npos);
+  EXPECT_NE(json.find("\"begin_reconfigure\""), std::string::npos);
+  EXPECT_NE(json.find("\"complete_migration\""), std::string::npos);
 }
 
 TEST(RuntimeTelemetryTest, RingDropsOldestButKeepsSequenceMonotone) {
@@ -297,44 +302,19 @@ TEST(RuntimeTelemetryTest, MetricTotalsReconcileWithRunAggregates) {
   // The end-to-end join still runs (it is not gated on telemetry or the
   // scaler): one sample per owned request.
   EXPECT_EQ(result.e2e_latency.count(), result.totals.requests);
-  // Every remote op was delivered by a batched boundary claim.
+  // Every remote op was delivered by a batched boundary claim. Claims count
+  // DrainChannel calls that returned work; each claim yields at least one
+  // batch and each batch at least one op.
   ExpectBatchedDrainReconciles(result);
   EXPECT_GT(series.ColumnTotal("drain_claims"), 0.0);
+  EXPECT_GE(series.ColumnTotal("drain_batch_ops"),
+            series.ColumnTotal("drain_claims"));
   // The CSV round-trips the header and row count.
   const std::string csv = series.ToCsv();
   EXPECT_EQ(csv.rfind("epoch,epoch_end_s,shard,requests,", 0), 0u);
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(csv.begin(), csv.end(), '\n')),
             series.rows().size() + 1);
-}
-
-TEST(RuntimeTelemetryTest, BatchedDrainCountersReconcileAndSingleOpIsZero) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g);
-
-  RuntimeConfig batched_config = TelemetryConfigOn(4);
-  batched_config.batched_drain = true;
-  const RuntimeResult batched = RunWithPlan(g, log, batched_config, {});
-  ExpectBatchedDrainReconciles(batched);
-  const common::MetricSeries& bs = batched.telemetry->series;
-  EXPECT_GT(bs.ColumnTotal("drain_claims"), 0.0);
-  // Claims count DrainChannel calls that returned work; each claim yields
-  // at least one batch and each batch at least one op.
-  EXPECT_GE(bs.ColumnTotal("drain_batch_ops"), bs.ColumnTotal("drain_claims"));
-
-  // The single-op reference path records no batched-claim activity but is
-  // otherwise bit-identical: same engine counters, same remote deliveries.
-  RuntimeConfig single_config = batched_config;
-  single_config.batched_drain = false;
-  const RuntimeResult single = RunWithPlan(g, log, single_config, {});
-  const common::MetricSeries& ss = single.telemetry->series;
-  EXPECT_EQ(ss.ColumnTotal("drain_claims"), 0.0);
-  EXPECT_EQ(ss.ColumnTotal("drain_batch_ops"), 0.0);
-  ExpectCountersEq(batched.counters, single.counters);
-  EXPECT_EQ(batched.totals.remote_read_slices, single.totals.remote_read_slices);
-  EXPECT_EQ(batched.totals.remote_write_applies,
-            single.totals.remote_write_applies);
-  EXPECT_EQ(batched.totals.messages_sent, single.totals.messages_sent);
 }
 
 TEST(RuntimeTelemetryTest, PlacementEventsRecordOutcomePerShard) {
@@ -357,7 +337,9 @@ TEST(RuntimeTelemetryTest, PlacementEventsRecordOutcomePerShard) {
     EXPECT_EQ(e.dur_ns, 0u);
     EXPECT_EQ(e.u3, 1u);  // first_touch was requested
     EXPECT_STRNE(e.label, "");
-    if (e.u2 != 0) EXPECT_EQ(e.u1, e.u0);  // pinned => achieved == requested
+    if (e.u2 != 0) {
+      EXPECT_EQ(e.u1, e.u0);  // pinned => achieved == requested
+    }
     ++placements;
   }
   EXPECT_EQ(placements, 2u);
@@ -606,7 +588,10 @@ TEST(RuntimeTelemetryTest, ScalerDecisionsAppearAsInstantEvents) {
   EXPECT_GT(observations, 4u);
   EXPECT_TRUE(saw_split) << "the storm must record a split decision";
   EXPECT_TRUE(saw_merge) << "the trailing quiet must record a merge";
-  EXPECT_GE(CountEvents(snap, TraceEventType::kReconfigure), 2u);
+  // Every resize is a single-step window: each opens and closes at once.
+  EXPECT_GE(CountEvents(snap, TraceEventType::kBeginReconfigure), 2u);
+  EXPECT_EQ(CountEvents(snap, TraceEventType::kCompleteMigration),
+            CountEvents(snap, TraceEventType::kBeginReconfigure));
   ExpectSeriesReconciles(result);
 
   const std::string json = ChromeTraceJson(snap);

@@ -532,37 +532,6 @@ TEST(FabricRuntimeTest, SpscEpochMatchesMutexBitForBit) {
   }
 }
 
-TEST(FabricRuntimeTest, BatchedDrainMatchesSingleOpBitForBit) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g);
-
-  // The batched fast path (one DrainChannel claim per channel) against the
-  // original one-TryRecv-per-batch reference, on both transports: under
-  // kEpoch the four runs must be bit-identical.
-  std::vector<RuntimeResult> results;
-  for (const FabricTransport transport :
-       {FabricTransport::kSpsc, FabricTransport::kMutex}) {
-    for (const bool batched : {true, false}) {
-      RuntimeConfig config =
-          FabricConfig(4, transport, DrainPolicy::kEpoch);
-      config.batched_drain = batched;
-      results.push_back(RunSharded(g, log, /*adaptive=*/true, config));
-    }
-  }
-  const RuntimeResult& reference = results.front();
-  EXPECT_EQ(reference.totals.requests, reference.expected_requests);
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    ExpectCountersEq(results[i].counters, reference.counters);
-    ASSERT_EQ(results[i].shard_counters.size(),
-              reference.shard_counters.size());
-    for (std::size_t s = 0; s < reference.shard_counters.size(); ++s) {
-      ExpectCountersEq(results[i].shard_counters[s],
-                       reference.shard_counters[s]);
-      ExpectStatsEq(results[i].shard_stats[s], reference.shard_stats[s]);
-    }
-  }
-}
-
 TEST(FabricRuntimeTest, PlacementOnOrOffIsBitIdentical) {
   const auto g = TestGraph();
   const auto log = TestLog(g);
