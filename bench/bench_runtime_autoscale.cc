@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -290,7 +291,8 @@ int main(int argc, char** argv) {
       std::max<std::uint32_t>(64, g.num_users() / 8);
 
   std::printf("== Load-driven auto-reconfiguration: flash-crowd workload "
-              "(scale=%g, days=%g) ==\n", args.scale, args.days);
+              "(hardware_concurrency=%u, scale=%g, days=%g) ==\n",
+              std::thread::hardware_concurrency(), args.scale, args.days);
   std::printf("burst window [%llu, %llu)s at 6x\n",
               static_cast<unsigned long long>(log.duration / 3),
               static_cast<unsigned long long>(2 * log.duration / 3));

@@ -157,9 +157,10 @@ int main(int argc, char** argv) {
   if (args.connections != 0) sweep = {args.connections};
 
   const graph::SocialGraph g = bench::MakeGraph(args.graph, args);
-  std::printf("server loopback: graph=%s users=%u shards=%u "
-              "ops/conn=%llu window=%u\n",
-              args.graph.c_str(), g.num_users(), num_shards,
+  std::printf("server loopback: hardware_concurrency=%u graph=%s users=%u "
+              "shards=%u ops/conn=%llu window=%u\n",
+              std::thread::hardware_concurrency(), args.graph.c_str(),
+              g.num_users(), num_shards,
               static_cast<unsigned long long>(ops_per_conn), kWindow);
 
   sim::ExperimentConfig config;
@@ -192,8 +193,6 @@ int main(int argc, char** argv) {
 
     net::ServerConfig server_config;
     server_config.port = args.port;
-    server_config.flush_batch = 4096;
-    server_config.flush_interval_us = 200;
     net::Server server(runtime, server_config);
     server.Start();
 

@@ -254,10 +254,11 @@ void Encode(const StatsPayload& p, std::vector<std::uint8_t>* out) {
   PutU64(p.runtime_reads, out);
   PutU64(p.runtime_writes, out);
   PutU64(p.e2e_samples, out);
+  PutU64(p.ops_failed, out);
 }
 
 std::optional<StatsPayload> DecodeStats(std::span<const std::uint8_t> payload) {
-  if (!SizeIs(payload, 72)) return std::nullopt;
+  if (!SizeIs(payload, 80)) return std::nullopt;
   StatsPayload p;
   const std::uint8_t* d = payload.data();
   p.ops_received = GetU64(d);
@@ -269,6 +270,7 @@ std::optional<StatsPayload> DecodeStats(std::span<const std::uint8_t> payload) {
   p.runtime_reads = GetU64(d + 48);
   p.runtime_writes = GetU64(d + 56);
   p.e2e_samples = GetU64(d + 64);
+  p.ops_failed = GetU64(d + 72);
   return p;
 }
 

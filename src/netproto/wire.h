@@ -41,7 +41,10 @@
 //   kViewFetchResp        {u32 view, u32 owner_shard, u8 health,
 //                          u32 num_shards}
 //   kErrorResp            {u16 code} — protocol violation; the server
-//                         closes the connection after sending it
+//                         closes the connection after sending it. The one
+//                         exception is kExecutionFailed: a per-op answer
+//                         (seq = the op's) to an op whose batch failed in
+//                         the runtime; the connection stays open
 #pragma once
 
 #include <cstddef>
@@ -164,6 +167,7 @@ struct StatsPayload {
   std::uint64_t runtime_reads = 0;
   std::uint64_t runtime_writes = 0;
   std::uint64_t e2e_samples = 0;     // RuntimeResult e2e_latency count
+  std::uint64_t ops_failed = 0;      // ops answered kExecutionFailed
 };
 
 // kViewFetchReq.
@@ -184,6 +188,7 @@ enum class ErrorCode : std::uint16_t {
   kBadPayload = 1,   // frame ok, payload malformed for its type
   kBadRequest = 2,   // response type sent as a request, or vice versa
   kShuttingDown = 3, // server is draining; no new ops
+  kExecutionFailed = 4,  // per-op: the runtime threw running its batch
 };
 
 struct ErrorPayload {

@@ -411,6 +411,8 @@ struct RuntimeConfig {
   // machine executed on the calling thread, shard by shard, with no threads
   // or locks involved. Produces byte-identical results to the threaded
   // path under kEpoch (which is itself deterministic by construction).
+  // true runs one long-lived worker thread per shard, started by the first
+  // Run that needs it and parked between runs (ShardedRuntime::Run).
   bool spawn_threads = true;
 
   // Checks every statically checkable range above, throwing

@@ -308,6 +308,12 @@ void ShardedRuntime::ShardAggregates::Fold(const ShardAggregates& other) {
   }
 }
 
+void ShardedRuntime::StartWorker(Shard& shard) {
+  Shard* sp = &shard;
+  shard.worker = std::thread([this, sp] { WorkerLoop(*sp); });
+  ++workers_started_;
+}
+
 void ShardedRuntime::RequestShutdown(Shard& shard) {
   Task task;
   task.kind = Task::Kind::kShutdown;
@@ -375,8 +381,7 @@ void ShardedRuntime::BeginReconfigure(std::uint32_t new_count,
       for (auto& shard : shards_) shard->outbox.assign(new_count, Outbox{});
       if (threaded) {
         for (std::uint32_t s = old_n; s < new_count; ++s) {
-          Shard* sp = shards_[s].get();
-          sp->worker = std::thread([this, sp] { WorkerLoop(*sp); });
+          StartWorker(*shards_[s]);
         }
       }
     } catch (...) {
@@ -1046,8 +1051,7 @@ void ShardedRuntime::KillShardAtBoundary(std::uint32_t s, SimTime epoch_end) {
   fresh->SeedSlot(slot);
   shard.engine = std::move(fresh);
   if (had_worker) {
-    Shard* sp = &shard;
-    shard.worker = std::thread([this, sp] { WorkerLoop(*sp); });
+    StartWorker(shard);
     const std::uint32_t spawned[] = {s};
     RunPlacementPhase(spawned, /*rebuild_engines=*/false);
   }
@@ -1789,9 +1793,10 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
   // Leaves the runtime reusable if the run unwinds anywhere after this
   // point — a throwing epoch hook (which fires at a boundary where every
   // worker is parked, so an orderly shutdown is always possible), a failed
-  // worker spawn, an allocation failure. Disarmed on normal completion:
-  // the success path joins workers itself and must keep any late pending
-  // request alive for the run-end apply.
+  // worker spawn, an allocation failure. It shuts every worker down, so the
+  // next Run restarts them all. Disarmed on normal completion: the success
+  // path leaves workers parked and must keep any late pending request alive
+  // for the run-end apply.
   struct AbortGuard {
     ShardedRuntime* rt;
     bool armed = true;
@@ -1844,20 +1849,21 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
   const bool threaded = config_.spawn_threads;
 
   if (threaded) {
+    // Workers outlive a successful Run, parked on their task queues; start
+    // one only where a shard has none (first Run, between-runs split,
+    // aborted Run). Placement phase for just those: each new worker pins
+    // itself and first-touches its hot memory before the first request is
+    // dispatched; the gate makes it a barrier, so no producer can race a
+    // consumer-side ring prefault. The inline fallback has no worker
+    // threads, so placement is a no-op there.
+    std::vector<std::uint32_t> started;
     for (auto& shard : shards_) {
-      Shard* s = shard.get();
-      shard->worker = std::thread([this, s] { WorkerLoop(*s); });
+      if (shard->worker.joinable()) continue;
+      StartWorker(*shard);
+      started.push_back(shard->id);
     }
-    // Placement phase: each worker pins itself and first-touches its hot
-    // memory before the first request is dispatched; the gate makes it a
-    // barrier, so no producer can race a consumer-side ring prefault. The
-    // inline fallback has no worker threads, so placement is a no-op there.
-    if (config_.placement.Active()) {
-      std::vector<std::uint32_t> all(n);
-      for (std::uint32_t s = 0; s < n; ++s) all[s] = s;
-      RunPlacementPhase(all,
-                        engines_pristine_ && config_.placement.first_touch);
-    }
+    RunPlacementPhase(started,
+                      engines_pristine_ && config_.placement.first_touch);
   }
   engines_pristine_ = false;
 
@@ -2060,8 +2066,10 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
       break;
     }
   }
+  // Every worker is parked on its task queue (the last boundary's gate
+  // ordered its writes before ours), so the merge below reads quiescent
+  // shards without joining anyone.
   abort_guard.armed = false;
-  if (threaded) ShutdownWorkers();
 
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - t0;

@@ -393,6 +393,12 @@ class ShardedRuntime {
 
   // Replays the whole log (with optional flash-event overlays, matching
   // sim::Simulator::Run semantics) and merges the per-shard results.
+  // Threaded mode (RuntimeConfig::spawn_threads) starts a worker only for a
+  // shard that has none — on the first Run, after a between-runs split, and
+  // after an aborted Run (which shuts every worker down) — and runs the
+  // placement phase for just those workers. On success the workers stay
+  // parked on their task queues for the next Run, so a steady stream of
+  // Runs creates no threads at all.
   RuntimeResult Run(const wl::RequestLog& log,
                     std::span<const wl::FlashEvent> flash = {});
 
@@ -486,6 +492,9 @@ class ShardedRuntime {
   // is false. Same (non-)thread-safety as the accessors above; its
   // observation history is stable between runs.
   const AutoScaler* auto_scaler() const { return scaler_.get(); }
+  // Worker threads created over the runtime's lifetime (0 in inline mode).
+  // Same (non-)thread-safety as the accessors above.
+  std::uint64_t workers_started() const { return workers_started_; }
 
  private:
   static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
@@ -657,6 +666,9 @@ class ShardedRuntime {
   // consumer-side prefault. No-op when placement is inactive.
   void RunPlacementPhase(std::span<const std::uint32_t> shard_indices,
                          bool rebuild_engines);
+  // Spawns the shard's worker thread (which then parks on its task queue)
+  // and counts it in workers_started_.
+  void StartWorker(Shard& shard);
   // Pushes a kShutdown task; the worker exits after finishing queued work.
   static void RequestShutdown(Shard& shard);
   // Stops every live worker: shutdown tasks first, then joins. Shards with
@@ -889,6 +901,7 @@ class ShardedRuntime {
   // imports state — the window in which a placement engine rebuild is
   // guaranteed to reproduce the constructor-built engine exactly.
   bool engines_pristine_ = true;
+  std::uint64_t workers_started_ = 0;  // see workers_started()
 
   // Reconfiguration request hand-off (any thread -> dispatcher) and the
   // retained accumulators of retired shards (dispatcher only, read by

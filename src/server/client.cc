@@ -146,6 +146,18 @@ bool Client::AbsorbOpAck(const netp::Frame& frame) {
     ++acked_ok_;
     return true;
   }
+  if (frame.header.type == netp::MsgType::kErrorResp) {
+    const auto err = netp::DecodeError(frame.payload);
+    if (!err.has_value() || err->code != netp::ErrorCode::kExecutionFailed) {
+      return false;  // a stream-level rejection: the caller throws
+    }
+    OpAck ack;
+    ack.seq = frame.header.seq;
+    ack.failed = true;
+    acks_.push_back(ack);
+    ++acked_failed_;
+    return true;
+  }
   return false;
 }
 

@@ -6,7 +6,9 @@
 // writes the buffer to the socket (Submit* auto-ships past
 // kAutoShipBytes), and WaitOpAck() blocks for the next op outcome — kOk
 // for an executed op, busy for one the server's admission control
-// rejected (resubmit after a drain). Because busy responses are immediate
+// rejected (resubmit after a drain), failed for one whose batch the
+// runtime could not execute (a kErrorResp with kExecutionFailed; the
+// connection stays usable). Because busy responses are immediate
 // while executed-op acks ride the server's next micro-batch flush, acks
 // can arrive out of submission order; every ack carries the op's seq so
 // callers correlate (the loopback bench keeps a seq -> send-time map for
@@ -18,8 +20,9 @@
 //
 // Not thread-safe: one thread per Client (the loopback bench gives each
 // connection its own thread). Errors — connect/IO failure, a decode
-// error, or the server closing the connection (including a kErrorResp) —
-// throw std::runtime_error; the protocol has no mid-stream resync.
+// error, or the server closing the connection (including any kErrorResp
+// other than kExecutionFailed) — throw std::runtime_error; the protocol
+// has no mid-stream resync.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +61,8 @@ class Client {
   struct OpAck {
     std::uint32_t seq = 0;
     bool busy = false;             // admission control rejected; resubmit
-    netp::OpRespPayload resp;      // valid when !busy
+    bool failed = false;           // the runtime threw running its batch
+    netp::OpRespPayload resp;      // valid when !busy && !failed
   };
   // Blocks for the next op ack (ships buffered frames first).
   OpAck WaitOpAck();
@@ -70,18 +74,22 @@ class Client {
   netp::StatsPayload Stats();
   netp::ViewFetchRespPayload FetchView(ViewId view);
 
-  // Client-side conservation ledger: ops acked ok / rejected busy.
+  // Client-side conservation ledger: ops acked ok / rejected busy /
+  // failed in execution.
   std::uint64_t acked_ok() const { return acked_ok_; }
   std::uint64_t acked_busy() const { return acked_busy_; }
+  std::uint64_t acked_failed() const { return acked_failed_; }
 
  private:
   std::uint32_t SubmitOp(netp::MsgType type, SimTime time, UserId user);
   // Reads until one complete frame decodes; throws on EOF/IO/decode error.
   netp::Frame ReadFrame();
   // Reads frames until one of `type` arrives, queueing op acks seen on the
-  // way. Throws on kErrorResp or an unexpected response type.
+  // way. Throws on a connection-closing kErrorResp or an unexpected
+  // response type.
   netp::Frame ReadUntil(netp::MsgType type);
-  // Queues an op ack if `frame` is one; returns whether it was.
+  // Queues an op ack if `frame` is one (kOpResp, kBusyResp, or a
+  // kExecutionFailed kErrorResp); returns whether it was.
   bool AbsorbOpAck(const netp::Frame& frame);
 
   int fd_ = -1;
@@ -92,6 +100,7 @@ class Client {
   std::deque<OpAck> acks_;
   std::uint64_t acked_ok_ = 0;
   std::uint64_t acked_busy_ = 0;
+  std::uint64_t acked_failed_ = 0;
   std::vector<std::uint8_t> scratch_;
 };
 

@@ -253,6 +253,7 @@ netp::StatsPayload Server::BuildStatsPayload() const {
   netp::StatsPayload p;
   p.ops_received = ledger_.ops_received;
   p.ops_executed = ledger_.ops_executed;
+  p.ops_failed = ledger_.ops_failed;
   p.acks_sent = ledger_.acks_sent;
   p.busy_sent = ledger_.busy_sent;
   p.batches_run = ledger_.batches_run;
@@ -425,25 +426,39 @@ void Server::ExecutePending() {
     }
   }
 
-  const rt::RuntimeResult result = runtime_.Run(log);
+  // A throwing Run must not take the loop thread down: its abort path
+  // leaves the runtime reusable, so the batch's ops are answered as failed
+  // and serving continues with the next batch.
+  bool executed = true;
+  try {
+    const rt::RuntimeResult result = runtime_.Run(log);
+    ledger_.runtime_requests = result.totals.requests;
+    ledger_.runtime_reads = result.totals.reads;
+    ledger_.runtime_writes = result.totals.writes;
+    ledger_.e2e_samples = result.e2e_latency.count();
+  } catch (...) {
+    executed = false;
+  }
   ++ledger_.batches_run;
-  ledger_.ops_executed += pending_.size();
-  ledger_.runtime_requests = result.totals.requests;
-  ledger_.runtime_reads = result.totals.reads;
-  ledger_.runtime_writes = result.totals.writes;
-  ledger_.e2e_samples = result.e2e_latency.count();
+  (executed ? ledger_.ops_executed : ledger_.ops_failed) += pending_.size();
 
-  // Ack every admitted op on its (still live) connection, in admission
+  // Answer every admitted op on its (still live) connection, in admission
   // order per connection.
-  scratch_.clear();
   for (const PendingOp& p : pending_) {
     Connection* c = FindConnection(p.conn_id);
-    if (c == nullptr) continue;  // connection died mid-batch; op executed anyway
+    if (c == nullptr) continue;  // connection died mid-batch; op ran anyway
     --c->inflight;
+    scratch_.clear();
+    if (!executed) {
+      netp::ErrorPayload err;
+      err.code = netp::ErrorCode::kExecutionFailed;
+      netp::Encode(err, &scratch_);
+      QueueFrame(*c, netp::MsgType::kErrorResp, p.seq, scratch_);
+      continue;
+    }
     netp::OpRespPayload resp;
     resp.op = p.request.op;
     resp.shard = runtime_.shard_map().shard_of(p.request.user);
-    scratch_.clear();
     netp::Encode(resp, &scratch_);
     QueueFrame(*c, netp::MsgType::kOpResp, p.seq, scratch_);
     ++ledger_.acks_sent;
@@ -500,8 +515,9 @@ void Server::Loop() {
       }
     }
 
-    // Execute when the batch or the deadline trips. (Both checks sit after
-    // event processing so one decode pass can fill a whole batch.)
+    // Execute when the batch or the linger deadline trips — at once under
+    // the default linger of 0. Both checks sit after event processing, so
+    // a batch holds everything this wake drained from the ready sockets.
     if (pending_.size() >= config_.flush_batch ||
         (!pending_.empty() &&
          NowNs() >= first_pending_ns_ + config_.flush_interval_us * 1000)) {

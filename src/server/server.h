@@ -4,13 +4,20 @@
 // client/server system: a single event-loop thread accepts concurrent TCP
 // connections, incrementally decodes netp frames (netproto/wire.h) from
 // each connection's receive buffer, and admits decoded read/write ops into
-// a pending micro-batch. The batch executes when it reaches
-// ServerConfig::flush_batch ops or when flush_interval_us elapses since
-// the first admitted op: the server sorts the batch into a wl::RequestLog
-// (stable by request time, so ties keep arrival order — deterministic for
-// a single connection streaming a log in order) and submits it to the
-// runtime as one ShardedRuntime::Run call, then answers every admitted op
-// with a kOpResp carrying the shard that owned it. The runtime's own
+// a pending micro-batch. With the default linger (flush_interval_us = 0)
+// the batch executes at the end of the epoll wake that admitted it — once
+// the loop has drained every ready socket — so while one batch runs, new
+// arrivals wait in the kernel socket buffers and form the next: batching
+// is self-clocked by execution time. A positive linger instead holds the
+// batch until it reaches ServerConfig::flush_batch ops or flush_interval_us
+// elapses since its first admitted op. Either way the server sorts the
+// batch into a wl::RequestLog (stable by request time, so ties keep arrival
+// order — deterministic for a single connection streaming a log in order)
+// and submits it to the runtime as one ShardedRuntime::Run call, then
+// answers every admitted op with a kOpResp carrying the shard that owned
+// it. If Run throws, every op of that batch is answered with a kErrorResp
+// carrying netp::ErrorCode::kExecutionFailed instead (counted in
+// ops_failed), and the connections stay open. The runtime's own
 // dispatcher/fabric/epoch machinery is unchanged — the server is strictly
 // a wire front end over the existing deterministic core.
 //
@@ -33,7 +40,10 @@
 // ticks. With rebase_times=false (replay mode) the original request times
 // survive, so a client that streams a whole log and then flushes once gets
 // a single Run over exactly the in-process dispatcher's input — the
-// bit-identity contract tests/server_test.cc pins.
+// bit-identity contract tests/server_test.cc pins. Replay therefore needs
+// a positive linger (and flush_batch) that outlasts the stream, ended by an
+// explicit kFlushReq; with linger 0 the stream is cut into one Run per
+// epoll wake.
 //
 // Threading: Start() spawns the loop thread and Stop() joins it; both are
 // called from the owning thread. stats() may be called from any thread
@@ -88,10 +98,12 @@ struct ServerConfig {
   // Execute the pending batch once it holds this many ops... Valid range:
   // >= 1 (see Validate).
   std::uint32_t flush_batch = 8192;
-  // ...or once this much wall-clock passed since its first op was admitted
-  // (the latency bound a sparse trickle of ops pays). Valid range: >= 1
-  // (see Validate; epoll granularity rounds up to 1ms).
-  std::uint64_t flush_interval_us = 1000;
+  // ...or once it has lingered this long since its first op was admitted.
+  // 0 (the default) means no linger: the batch executes at the end of the
+  // epoll wake that admitted it. A positive linger is a wall-clock bound
+  // that epoll's granularity rounds up to whole milliseconds. Valid range:
+  // any.
+  std::uint64_t flush_interval_us = 0;
   // Serving mode: admitted ops execute with time 0, one epoch per
   // micro-batch. false preserves request times for replay-mode
   // bit-identity (header comment).
@@ -125,19 +137,14 @@ struct ServerConfig {
           "ServerConfig::flush_batch must be at least 1 (a 0-op batch "
           "would execute on every admission — use 1 to mean that)");
     }
-    if (flush_interval_us == 0) {
-      throw std::invalid_argument(
-          "ServerConfig::flush_interval_us must be at least 1 (a 0 "
-          "interval has no meaning at epoll's millisecond granularity; "
-          "use flush_batch=1 for immediate execution)");
-    }
   }
 };
 
 // The server-side conservation ledger (docs/server.md): every admitted op
-// is executed exactly once and answered exactly once, so at any quiescent
-// point ops_received == ops_executed + busy_sent + pending, and
-// ops_executed == acks_sent. Snapshot via Server::stats().
+// is submitted to the runtime exactly once and answered exactly once, so at
+// any quiescent point ops_received == ops_executed + ops_failed + busy_sent
+// + pending, and ops_executed == acks_sent while no connection has died
+// with acks owed. Snapshot via Server::stats().
 struct ServerStats {
   std::uint64_t conns_accepted = 0;
   std::uint64_t conns_closed = 0;
@@ -146,6 +153,7 @@ struct ServerStats {
   std::uint64_t decode_errors = 0;   // connections dropped mid-frame
   std::uint64_t ops_received = 0;    // op frames decoded (admitted or busy)
   std::uint64_t ops_executed = 0;    // ops run through the runtime
+  std::uint64_t ops_failed = 0;      // ops of a batch whose Run threw
   std::uint64_t acks_sent = 0;       // kOpResp frames queued
   std::uint64_t busy_sent = 0;       // kBusyResp frames queued
   std::uint64_t batches_run = 0;     // micro-batch Run() calls
@@ -201,7 +209,8 @@ class Server {
   // flush/stats/view-fetch. Returns false to close the connection.
   bool HandleFrame(Connection& c, const netp::Frame& frame);
   // Builds the micro-batch log, runs it through the runtime, and queues
-  // every admitted op's kOpResp. No-op on an empty batch.
+  // every admitted op's kOpResp — or, when Run throws, its kErrorResp with
+  // kExecutionFailed. No-op on an empty batch.
   void ExecutePending();
   void QueueFrame(Connection& c, netp::MsgType type, std::uint32_t seq,
                   std::span<const std::uint8_t> payload);

@@ -272,14 +272,16 @@ TEST(WirePayloadTest, FlushStatsViewErrorRoundTrips) {
   s.runtime_reads = 7;
   s.runtime_writes = 8;
   s.e2e_samples = 9;
+  s.ops_failed = 10;
   buf.clear();
   Encode(s, &buf);
-  ASSERT_EQ(buf.size(), 72u);
+  ASSERT_EQ(buf.size(), 80u);
   const auto sd = DecodeStats(buf);
   ASSERT_TRUE(sd.has_value());
   EXPECT_EQ(sd->ops_received, 1u);
   EXPECT_EQ(sd->busy_sent, 4u);
   EXPECT_EQ(sd->e2e_samples, 9u);
+  EXPECT_EQ(sd->ops_failed, 10u);
 
   ViewFetchPayload v;
   v.view = 9001;
@@ -309,6 +311,13 @@ TEST(WirePayloadTest, FlushStatsViewErrorRoundTrips) {
   const auto ed = DecodeError(buf);
   ASSERT_TRUE(ed.has_value());
   EXPECT_EQ(ed->code, ErrorCode::kShuttingDown);
+
+  e.code = ErrorCode::kExecutionFailed;
+  buf.clear();
+  Encode(e, &buf);
+  const auto ef = DecodeError(buf);
+  ASSERT_TRUE(ef.has_value());
+  EXPECT_EQ(ef->code, ErrorCode::kExecutionFailed);
 }
 
 // ----- Seeded fuzz harness -----

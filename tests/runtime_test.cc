@@ -440,6 +440,109 @@ TEST(ShardedRuntimeTest, InlineFallbackMatchesThreadedShards) {
   }
 }
 
+// ----- Worker lifetime: threads start once, not once per Run -----
+
+// A server-shaped micro-batch: the first `n` requests of a synthetic log
+// rebased to time 0, so each Run is a single epoch.
+wl::RequestLog MicroBatch(const graph::SocialGraph& g, std::size_t n = 256) {
+  const wl::RequestLog full = TestLog(g, 0.5);
+  wl::RequestLog batch;
+  for (std::size_t i = 0; i < n && i < full.requests.size(); ++i) {
+    Request r = full.requests[i];
+    r.time = 0;
+    (r.op == OpType::kRead ? batch.num_reads : batch.num_writes) += 1;
+    batch.requests.push_back(r);
+  }
+  return batch;
+}
+
+// Runs `batch` and checks it conserved: the runtime's lifetime totals grow
+// by exactly the batch. `executed` carries the running total.
+void RunAndExpectConserved(ShardedRuntime& runtime,
+                           const wl::RequestLog& batch,
+                           std::uint64_t& executed) {
+  const RuntimeResult r = runtime.Run(batch);
+  executed += batch.requests.size();
+  EXPECT_EQ(r.expected_requests, batch.requests.size());
+  EXPECT_EQ(r.totals.requests, executed);
+  EXPECT_EQ(r.counters.reads + r.counters.writes, executed);
+}
+
+TEST(WorkerLifetimeTest, RepeatedRunsStartEachWorkerOnce) {
+  const auto g = TestGraph();
+  const wl::RequestLog batch = MicroBatch(g);
+  const RuntimeFixture fx = MakeFixture(g, BaseConfig(/*adaptive=*/true));
+  RuntimeConfig rt_config;
+  rt_config.num_shards = 4;
+  ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine, rt_config);
+  EXPECT_EQ(runtime.workers_started(), 0u);
+
+  std::uint64_t executed = 0;
+  for (int run = 0; run < 50; ++run) {
+    SCOPED_TRACE(run);
+    RunAndExpectConserved(runtime, batch, executed);
+    // Zero thread creations per batch after the first.
+    ASSERT_EQ(runtime.workers_started(), rt_config.num_shards);
+  }
+}
+
+TEST(WorkerLifetimeTest, BetweenRunsResizeStartsOnlyTheNewShards) {
+  const auto g = TestGraph();
+  const wl::RequestLog batch = MicroBatch(g);
+  const RuntimeFixture fx = MakeFixture(g, BaseConfig(/*adaptive=*/true));
+  RuntimeConfig rt_config;
+  rt_config.num_shards = 2;
+  ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine, rt_config);
+
+  std::uint64_t executed = 0;
+  RunAndExpectConserved(runtime, batch, executed);
+  EXPECT_EQ(runtime.workers_started(), 2u);
+
+  // A between-runs split builds the new shards without workers; the next
+  // Run starts exactly those two.
+  runtime.Reconfigure(4);
+  EXPECT_EQ(runtime.workers_started(), 2u);
+  RunAndExpectConserved(runtime, batch, executed);
+  EXPECT_EQ(runtime.num_shards(), 4u);
+  EXPECT_EQ(runtime.workers_started(), 4u);
+
+  // A merge back retires (joins) the surplus workers and starts none.
+  runtime.Reconfigure(2);
+  RunAndExpectConserved(runtime, batch, executed);
+  EXPECT_EQ(runtime.num_shards(), 2u);
+  EXPECT_EQ(runtime.workers_started(), 4u);
+}
+
+TEST(WorkerLifetimeTest, AbortedRunRestartsEveryWorker) {
+  const auto g = TestGraph();
+  const wl::RequestLog batch = MicroBatch(g);
+  const RuntimeFixture fx = MakeFixture(g, BaseConfig(/*adaptive=*/true));
+  RuntimeConfig rt_config;
+  rt_config.num_shards = 3;
+  ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine, rt_config);
+
+  std::uint64_t executed = 0;
+  RunAndExpectConserved(runtime, batch, executed);
+  EXPECT_EQ(runtime.workers_started(), 3u);
+
+  // The hook throws at the run's first boundary, where every worker is
+  // parked; the abort path shuts them all down.
+  runtime.SetEpochHook([](SimTime, std::uint64_t) {
+    throw std::runtime_error("injected boundary failure");
+  });
+  EXPECT_THROW(runtime.Run(batch), std::runtime_error);
+  EXPECT_EQ(runtime.workers_started(), 3u);
+  runtime.SetEpochHook({});
+
+  // The aborted batch executed before the hook fired (one epoch), so the
+  // lifetime totals carry it too.
+  executed += batch.requests.size();
+  RunAndExpectConserved(runtime, batch, executed);
+  EXPECT_EQ(runtime.workers_started(), 6u);
+  RunAndExpectConserved(runtime, batch, executed);
+  EXPECT_EQ(runtime.workers_started(), 6u);
+}
+
 TEST(ShardedRuntimeTest, PayloadModeReplicatesWritesForCoherence) {
   const auto g = TestGraph(400);
   const auto log = TestLog(g, 0.5);

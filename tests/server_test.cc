@@ -112,9 +112,11 @@ TEST(ServerConfigTest, ValidatesEveryBound) {
   c = ok;
   c.flush_batch = 0;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
+  // A linger of 0 is the default: execute at the end of each epoll wake.
+  EXPECT_EQ(ok.flush_interval_us, 0u);
   c = ok;
-  c.flush_interval_us = 0;
-  EXPECT_THROW(c.Validate(), std::invalid_argument);
+  c.flush_interval_us = 1000;
+  EXPECT_NO_THROW(c.Validate());
 }
 
 TEST(ServerConfigTest, ConstructorRejectsBadConfig) {
@@ -191,6 +193,78 @@ TEST(ServerTest, LoopbackOpsExecuteAndConserve) {
   EXPECT_EQ(ss.busy_sent, 0u);
   EXPECT_EQ(ss.conns_accepted, 1u);
   EXPECT_EQ(ss.conns_closed, 1u);
+}
+
+// ----- Linger: the default executes at the end of each epoll wake -----
+
+TEST(ServerTest, DefaultLingerAcksALoneOpWithoutFlush) {
+  ServerFixture fx(2);
+  Server server(*fx.runtime, ServerConfig{});
+  server.Start();
+
+  Client client;
+  client.Connect("127.0.0.1", server.port());
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const std::uint32_t seq = client.SubmitRead(0, i);
+    const Client::OpAck ack = client.WaitOpAck();  // no kFlushReq sent
+    EXPECT_EQ(ack.seq, seq);
+    EXPECT_FALSE(ack.busy);
+    EXPECT_FALSE(ack.failed);
+  }
+  const netp::StatsPayload stats = client.Stats();
+  EXPECT_EQ(stats.ops_executed, 3u);
+  EXPECT_EQ(stats.acks_sent, 3u);
+  // One op in flight at a time: every op was its own batch.
+  EXPECT_EQ(stats.batches_run, 3u);
+  client.Close();
+  server.Stop();
+  EXPECT_EQ(server.stats().flushes, 0u);
+}
+
+// ----- A throwing Run fails its batch; serving continues -----
+
+TEST(ServerTest, ThrowingRunAnswersExecutionFailedAndKeepsServing) {
+  ServerFixture fx(2);
+  // Touched only by the server's loop thread, the runtime's one driver.
+  bool thrown = false;
+  fx.runtime->SetEpochHook([&thrown](SimTime, std::uint64_t) {
+    if (thrown) return;
+    thrown = true;
+    throw std::runtime_error("injected runtime failure");
+  });
+  Server server(*fx.runtime, ServerConfig{});
+  server.Start();
+
+  Client client;
+  client.Connect("127.0.0.1", server.port());
+  const std::uint32_t failed_seq = client.SubmitRead(0, 1);
+  const Client::OpAck failed = client.WaitOpAck();
+  EXPECT_EQ(failed.seq, failed_seq);
+  EXPECT_TRUE(failed.failed);
+  EXPECT_FALSE(failed.busy);
+
+  // Same connection, next batch: the runtime recovered and acks it.
+  const std::uint32_t ok_seq = client.SubmitWrite(0, 2);
+  const Client::OpAck ok = client.WaitOpAck();
+  EXPECT_EQ(ok.seq, ok_seq);
+  EXPECT_FALSE(ok.failed);
+  EXPECT_EQ(ok.resp.op, OpType::kWrite);
+  EXPECT_EQ(client.acked_failed(), 1u);
+  EXPECT_EQ(client.acked_ok(), 1u);
+
+  const netp::StatsPayload stats = client.Stats();
+  EXPECT_EQ(stats.ops_failed, 1u);
+  EXPECT_EQ(stats.ops_executed, 1u);
+  EXPECT_EQ(stats.acks_sent, 1u);
+  EXPECT_EQ(stats.ops_received,
+            stats.ops_executed + stats.ops_failed + stats.busy_sent);
+  client.Close();
+  server.Stop();
+
+  const ServerStats ss = server.stats();
+  EXPECT_EQ(ss.ops_received, ss.ops_executed + ss.ops_failed + ss.busy_sent);
+  EXPECT_EQ(ss.decode_errors, 0u);
+  EXPECT_EQ(ss.conns_accepted, 1u);
 }
 
 // ----- Bit-identity: loopback replay == in-process dispatch -----
