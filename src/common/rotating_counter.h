@@ -36,9 +36,23 @@ class RotatingCounter {
 
   // Advances to the next slot, forgetting the oldest period.
   void Rotate() {
-    head_ = static_cast<std::uint8_t>((head_ + 1) % num_slots_);
+    head_ = static_cast<std::uint8_t>(head_ + 1 == num_slots_ ? 0 : head_ + 1);
     sum_ -= slots_[head_];
     slots_[head_] = 0;
+  }
+
+  // Advances `periods` slots at once, exactly as that many Rotate() calls
+  // would: a window that lagged behind catches up in one step.
+  void Rotate(std::uint32_t periods) {
+    if (sum_ != 0 && periods < num_slots_) {
+      for (; periods > 0; --periods) Rotate();
+      return;
+    }
+    // Every slot is zero afterwards (sum_ == 0 means it already is): only
+    // the head moves.
+    slots_.fill(0);
+    sum_ = 0;
+    head_ = static_cast<std::uint8_t>((head_ + periods) % num_slots_);
   }
 
   // Total accesses over the whole window.

@@ -258,17 +258,20 @@ void Engine::RefreshRackCache(RackId r) const {
 ServerId Engine::RackCandidate(RackId r, ViewId v) const {
   const RackCache& cache = rack_cache_[r];
   if (cache.dirty) RefreshRackCache(r);
-  if (cache.first != kInvalidServer && !servers_[cache.first].Has(v)) {
+  // The registry answers "holds v" from v's own short replica list.
+  if (cache.first != kInvalidServer &&
+      !registry_.HasReplica(v, cache.first)) {
     return cache.first;
   }
-  if (cache.second != kInvalidServer && !servers_[cache.second].Has(v)) {
+  if (cache.second != kInvalidServer &&
+      !registry_.HasReplica(v, cache.second)) {
     return cache.second;
   }
   // Both least-loaded servers hold the view already: fall back to a scan.
   ServerId best = kInvalidServer;
   for (ServerId s = topo_->rack_server_begin(r); s < topo_->rack_server_end(r);
        ++s) {
-    if (servers_[s].Full() || servers_[s].Has(v)) continue;
+    if (servers_[s].Full() || registry_.HasReplica(v, s)) continue;
     if (best == kInvalidServer || servers_[s].used() < servers_[best].used()) {
       best = s;
     }
@@ -303,6 +306,26 @@ void Engine::MaybeAdapt(ViewId v, ServerId s, SimTime t) {
   if (config_.enable_migration) TryMigrate(v, s, t);
 }
 
+double Engine::ReplicationBound(ServerId s, std::uint16_t origin,
+                                std::uint32_t reads, double writes,
+                                RackId wrack, int cost_here) const {
+  // Both costs of a candidate depend only on its rack, so the first server
+  // of each rack prices every candidate that ScanOrigin could return from
+  // it, in the same arithmetic TryReplicate uses.
+  double bound = -store::kInfiniteUtility;
+  const auto [rack_lo, rack_hi] =
+      topo_->OriginRackRange(s, origin, config_.exact_origins);
+  for (RackId r = rack_lo; r < rack_hi; ++r) {
+    const ServerId rep = topo_->rack_server_begin(r);
+    const int cost_there =
+        topo_->OriginCost(s, origin, rep, config_.exact_origins);
+    const double profit = static_cast<double>(reads) * (cost_here - cost_there) -
+                          writes * topo_->RackToServerCost(wrack, rep);
+    bound = std::max(bound, profit);
+  }
+  return bound;
+}
+
 bool Engine::TryReplicate(ViewId v, ServerId s, SimTime t) {
   const store::ReplicaStats* stats = servers_[s].Find(v);
   assert(stats != nullptr);
@@ -319,6 +342,10 @@ bool Engine::TryReplicate(ViewId v, ServerId s, SimTime t) {
     const int cost_here =
         topo_->OriginCost(s, origin, s, config_.exact_origins);
     if (cost_here <= 1) continue;  // already as local as it gets
+    if (ReplicationBound(s, origin, reads, writes, wrack, cost_here) <=
+        best_profit) {
+      continue;  // no server of the origin can beat the best so far
+    }
     const OriginScan scan = ScanOrigin(s, origin, v);
     if (scan.least_loaded == kInvalidServer) continue;
     const int cost_there =
@@ -349,16 +376,23 @@ void Engine::TryMigrate(ViewId v, ServerId s, SimTime t) {
   ServerId nearest = registry_.NextClosestReplica(s, v, *topo_);
   if (nearest == kInvalidServer) nearest = s;  // sole replica: compare moves
 
+  // Algorithm 1 for every candidate position over one collection of the
+  // reads: the reroute cost to `nearest` is the same for all of them.
   const RackId wrack = write_rack(v);
-  double best_profit = EstimateProfit(*topo_, config_.exact_origins, *stats,
-                                      s, s, nearest, wrack, origin_scratch_);
+  std::vector<store::ReplicaStats::OriginReads>& origins = migrate_scratch_;
+  stats->CollectReads(origins);
+  const double writes = stats->TotalWrites();
+  const double nearest_cost =
+      ReadCost(*topo_, config_.exact_origins, origins, s, nearest);
+  const auto profit_at = [&](ServerId target) {
+    return nearest_cost -
+           ReadCost(*topo_, config_.exact_origins, origins, s, target) -
+           writes * topo_->RackToServerCost(wrack, target);
+  };
+  double best_profit = profit_at(s);
   const double own_utility = best_profit;
   ServerId best_position = s;
 
-  stats->CollectReads(origin_scratch_);
-  // CollectReads refilled the scratch; keep a stable copy for iteration
-  // because EstimateProfit reuses the buffer.
-  std::vector<store::ReplicaStats::OriginReads> origins = origin_scratch_;
   // A view read from very many distinct origins has no single better
   // position (the flat topology exposes up to one origin per machine);
   // evaluating every candidate would also make Algorithm 3 quadratic in the
@@ -370,9 +404,7 @@ void Engine::TryMigrate(ViewId v, ServerId s, SimTime t) {
       (void)reads;
       const OriginScan scan = ScanOrigin(s, origin, v);
       if (scan.least_loaded == kInvalidServer) continue;
-      const double profit =
-          EstimateProfit(*topo_, config_.exact_origins, *stats, s,
-                         scan.least_loaded, nearest, wrack, origin_scratch_);
+      const double profit = profit_at(scan.least_loaded);
       if (profit > best_profit && profit > scan.min_threshold) {
         best_profit = profit;
         best_position = scan.least_loaded;
@@ -397,33 +429,25 @@ void Engine::TryMigrate(ViewId v, ServerId s, SimTime t) {
 
 // ----- Replica set changes -----
 
-void Engine::SnapshotClosest(ViewId v, std::vector<ServerId>& out) const {
-  out.clear();
-  out.reserve(topo_->num_brokers());
-  for (BrokerId b = 0; b < topo_->num_brokers(); ++b) {
-    out.push_back(registry_.ClosestReplica(b, v, *topo_));
-  }
-}
-
 void Engine::NotifyRoutingChange(ViewId v,
                                  std::span<const ServerId> closest_before,
                                  SimTime t) {
   const BrokerId wp = registry_.info(v).write_proxy;
+  registry_.ClosestReplicas(v, *topo_, closest_after_scratch_);
   for (BrokerId b = 0; b < topo_->num_brokers(); ++b) {
-    if (registry_.ClosestReplica(b, v, *topo_) != closest_before[b]) {
+    if (closest_after_scratch_[b] != closest_before[b]) {
       traffic_.Record(topo_->PathBrokerBroker(wp, b),
                       config_.traffic.sys_msg_size, net::MsgClass::kSystem, t);
     }
   }
 }
 
-std::vector<std::uint16_t> Engine::RemapOrigin(ServerId source,
-                                               ServerId target,
-                                               std::uint16_t origin) const {
-  std::vector<std::uint16_t> mapped;
+std::span<const std::uint16_t> Engine::RemapOrigin(
+    ServerId source, ServerId target, std::uint16_t origin) const {
+  std::vector<std::uint16_t>& mapped = remap_scratch_;
+  mapped.clear();
   const auto [lo, hi] =
       topo_->OriginRackRange(source, origin, config_.exact_origins);
-  mapped.reserve(hi - lo);
   for (RackId r = lo; r < hi; ++r) {
     const std::uint16_t idx =
         topo_->OriginIndex(target, r, config_.exact_origins);
@@ -451,7 +475,7 @@ void Engine::CreateReplica(ViewId v, ServerId target, ServerId source,
   traffic_.Record(topo_->PathServerServer(source, target),
                   config_.traffic.view_copy_size, net::MsgClass::kSystem, t);
 
-  SnapshotClosest(v, closest_scratch_);
+  registry_.ClosestReplicas(v, *topo_, closest_scratch_);
   const bool inserted = servers_[target].Insert(v);
   assert(inserted);
   (void)inserted;
@@ -479,18 +503,8 @@ void Engine::CreateReplica(ViewId v, ServerId target, ServerId source,
     assert(source_stats != nullptr && target_stats != nullptr);
     const std::uint32_t reads = source_stats->ExtractOrigin(seed_origin);
     if (reads > 0) {
-      const std::vector<std::uint16_t> mapped =
-          RemapOrigin(source, target, seed_origin);
-      const auto share =
-          static_cast<std::uint32_t>(reads / std::max<std::size_t>(
-                                                 1, mapped.size()));
-      std::uint32_t remainder =
-          reads - share * static_cast<std::uint32_t>(mapped.size());
-      for (std::uint16_t idx : mapped) {
-        std::uint32_t amount = share + (remainder > 0 ? 1 : 0);
-        if (remainder > 0) --remainder;
-        if (amount > 0) target_stats->RecordRead(idx, amount);
-      }
+      target_stats->SpreadReads(reads,
+                                RemapOrigin(source, target, seed_origin));
     }
   }
 
@@ -529,7 +543,7 @@ void Engine::DropReplica(ViewId v, ServerId s, SimTime t) {
     }
   }
 
-  SnapshotClosest(v, closest_scratch_);
+  registry_.ClosestReplicas(v, *topo_, closest_scratch_);
   servers_[s].Erase(v);
   TouchServer(s);
   registry_.RemoveReplica(v, s);
@@ -610,64 +624,71 @@ void Engine::ImportViewStates(std::span<const ViewStateSnapshot> snaps) {
 
 void Engine::RecomputeUtilities(ServerId s) {
   store::StoreServer& server = servers_[s];
-  for (ViewId v : server.SortedViews()) {
+  const std::span<const ViewId> views = server.views();
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const ViewId v = views[i];
     if (!Maintains(v)) continue;
+    // Rotating every maintained window here keeps the catch-up off the
+    // request path; only replicas other shards maintain rotate on access.
+    const store::ReplicaStats& stats = server.stats_at(i);
     if (Pinned(v)) {
-      server.set_utility(v, store::kInfiniteUtility);
+      server.set_utility_at(i, store::kInfiniteUtility);
       continue;
     }
     const ServerId nearest = registry_.NextClosestReplica(s, v, *topo_);
     assert(nearest != kInvalidServer);
-    const store::ReplicaStats* stats = server.Find(v);
-    server.set_utility(
-        v, EstimateProfit(*topo_, config_.exact_origins, *stats, s, s,
-                          nearest, write_rack(v), origin_scratch_));
+    server.set_utility_at(
+        i, EstimateProfit(*topo_, config_.exact_origins, stats, s, s, nearest,
+                          write_rack(v), origin_scratch_));
   }
 }
 
 void Engine::UpdateThresholdAndEvict(ServerId s, SimTime t) {
   store::StoreServer& server = servers_[s];
 
-  // Views with negative utility are automatically removed (§3.2).
-  for (ViewId v : server.SortedViews()) {
+  // One pass over the maintained views: those with negative utility are
+  // automatically removed (§3.2); the rest are ranked by (utility, view id).
+  // Pinning is per view, so dropping one view never pins or unpins another.
+  evict_drops_.clear();
+  ranked_.clear();
+  const std::span<const ViewId> views = server.views();
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const ViewId v = views[i];
     if (!Maintains(v)) continue;
-    if (!Pinned(v) && server.utility(v) < 0) {
-      DropReplica(v, s, t);
-      ++counters_.replicas_dropped;
-      ++counters_.drops_negative;
+    const double utility = server.utility_at(i);
+    if (utility < 0 && !Pinned(v)) {
+      evict_drops_.push_back(v);
+    } else {
+      ranked_.emplace_back(utility, v);
     }
+  }
+  for (ViewId v : evict_drops_) {
+    DropReplica(v, s, t);
+    ++counters_.replicas_dropped;
+    ++counters_.drops_negative;
   }
 
   // Admission threshold: the utility of the view at the threshold_fill
   // percentile of *capacity*, or 0 while the server has room below it.
-  std::vector<double> utilities;
-  utilities.reserve(server.used());
-  for (ViewId v : server.SortedViews()) {
-    if (!Maintains(v)) continue;
-    utilities.push_back(server.utility(v));
-  }
   const auto fill_slots = static_cast<std::size_t>(
       std::ceil(config_.store.threshold_fill * server.capacity()));
-  if (utilities.size() < fill_slots || fill_slots == 0) {
+  if (ranked_.size() < fill_slots || fill_slots == 0) {
     server.set_admission_threshold(0);
   } else {
-    std::sort(utilities.begin(), utilities.end(), std::greater<double>());
-    server.set_admission_threshold(utilities[fill_slots - 1]);
+    const auto nth = ranked_.end() - static_cast<std::ptrdiff_t>(fill_slots);
+    std::nth_element(ranked_.begin(), nth, ranked_.end());
+    server.set_admission_threshold(nth->first);
   }
 
-  // Proactive eviction keeps memory available above the watermark.
-  while (server.AboveWatermark()) {
-    ViewId victim = kInvalidView;
-    double victim_utility = store::kInfiniteUtility;
-    for (ViewId v : server.SortedViews()) {
-      if (!Maintains(v) || Pinned(v)) continue;
-      if (server.utility(v) < victim_utility) {
-        victim_utility = server.utility(v);
-        victim = v;
-      }
-    }
-    if (victim == kInvalidView) break;  // everything left is pinned
-    DropReplica(victim, s, t);
+  // Proactive eviction keeps memory available above the watermark: the
+  // lowest utility goes first, the lowest view id among equals. Pinned and
+  // infinite-utility views are never victims.
+  if (!server.AboveWatermark()) return;
+  std::sort(ranked_.begin(), ranked_.end());
+  for (const auto& [utility, v] : ranked_) {
+    if (!server.AboveWatermark() || utility == store::kInfiniteUtility) break;
+    if (Pinned(v)) continue;
+    DropReplica(v, s, t);
     ++counters_.replicas_dropped;
     ++counters_.evictions_watermark;
   }
@@ -676,7 +697,9 @@ void Engine::UpdateThresholdAndEvict(ServerId s, SimTime t) {
 void Engine::Tick(SimTime t) {
   ++current_slot_;
   if (!config_.adaptive) return;
-  for (auto& server : servers_) server.RotateCounters();
+  // Counters rotate lazily (store::StoreServer): RecomputeUtilities catches
+  // up the maintained replicas; the rest catch up when next touched.
+  for (auto& server : servers_) server.AdvanceSlot();
   for (ServerId s = 0; s < servers_.size(); ++s) RecomputeUtilities(s);
   for (ServerId s = 0; s < servers_.size(); ++s) UpdateThresholdAndEvict(s, t);
 }
@@ -684,10 +707,9 @@ void Engine::Tick(SimTime t) {
 // ----- Cluster management -----
 
 void Engine::CrashServer(ServerId s, SimTime t) {
-  store::StoreServer& server = servers_[s];
-  const std::vector<ViewId> lost = server.SortedViews();
-  for (ViewId v : lost) {
-    SnapshotClosest(v, closest_scratch_);
+  // Only other servers change inside the loop, so the view list is stable.
+  for (ViewId v : servers_[s].views()) {
+    registry_.ClosestReplicas(v, *topo_, closest_scratch_);
     registry_.RemoveReplica(v, s);
     registry_.info(v).last_change_slot = current_slot_;
     if (registry_.ReplicaCount(v) == 0) {

@@ -152,9 +152,11 @@ class Engine {
     maintenance_owner_ = std::move(owned);
   }
 
-  // Advances the statistics window: rotates counters, recomputes utilities
-  // and admission thresholds, drops negative-utility replicas, and runs the
-  // proactive eviction sweep (§3.2). Call once per slot_seconds.
+  // Advances the statistics window, then, for the maintained views only,
+  // rotates counters, recomputes utilities and admission thresholds, drops
+  // negative-utility replicas, and runs the proactive eviction sweep
+  // (§3.2). Other replicas' counters rotate lazily, on their next access
+  // (store::StoreServer). Call once per slot_seconds.
   void Tick(SimTime t);
 
   // ----- Online reconfiguration (used by rt::ShardedRuntime) -----
@@ -268,6 +270,11 @@ class Engine {
 
   void MaybeAdapt(ViewId v, ServerId s, SimTime t);
   bool TryReplicate(ViewId v, ServerId s, SimTime t);  // Algorithm 2
+  // Upper bound on the profit TryReplicate can find for `origin`: the best
+  // any rack of the origin could give, whatever ScanOrigin would return.
+  double ReplicationBound(ServerId s, std::uint16_t origin,
+                          std::uint32_t reads, double writes, RackId wrack,
+                          int cost_here) const;
   void TryMigrate(ViewId v, ServerId s, SimTime t);    // Algorithm 3
 
   static constexpr std::uint16_t kNoOrigin = 0xFFFF;
@@ -280,14 +287,15 @@ class Engine {
   // recreated on the next read — a thrash loop).
   void CreateReplica(ViewId v, ServerId target, ServerId source, SimTime t,
                      bool move_stats, std::uint16_t seed_origin = kNoOrigin);
-  std::vector<std::uint16_t> RemapOrigin(ServerId source, ServerId target,
-                                         std::uint16_t origin) const;
+  // The origins of `target` that `source`'s `origin` covers. The span
+  // aliases a scratch buffer that the next call overwrites.
+  std::span<const std::uint16_t> RemapOrigin(ServerId source, ServerId target,
+                                             std::uint16_t origin) const;
   void DropReplica(ViewId v, ServerId s, SimTime t);
   // Charges one protocol message from the write proxy to every broker whose
   // closest replica changed (routing-table maintenance, §3.2).
   void NotifyRoutingChange(ViewId v, std::span<const ServerId> closest_before,
                            SimTime t);
-  void SnapshotClosest(ViewId v, std::vector<ServerId>& out) const;
 
   void MaybeMigrateReadProxy(UserId u, std::span<const ServerId> accessed,
                              SimTime t);
@@ -317,8 +325,13 @@ class Engine {
 
   // Scratch buffers reused across requests.
   mutable std::vector<store::ReplicaStats::OriginReads> origin_scratch_;
+  std::vector<store::ReplicaStats::OriginReads> migrate_scratch_;
+  mutable std::vector<std::uint16_t> remap_scratch_;
+  std::vector<ViewId> evict_drops_;
+  std::vector<std::pair<double, ViewId>> ranked_;
   std::vector<ServerId> accessed_scratch_;
   std::vector<ServerId> closest_scratch_;
+  std::vector<ServerId> closest_after_scratch_;
   mutable std::vector<std::uint32_t> flat_counts_;
   mutable std::vector<RackCache> rack_cache_;
 };

@@ -25,35 +25,86 @@ bool ViewRegistry::HasReplica(ViewId v, ServerId s) const {
   return std::binary_search(r.begin(), r.end(), s);
 }
 
-ServerId ViewRegistry::ClosestReplica(BrokerId b, ViewId v,
-                                      const net::Topology& topo) const {
-  const auto& replicas = views_[v].replicas;
-  assert(!replicas.empty());
-  ServerId best = replicas.front();
-  int best_distance = topo.Distance(b, best);
-  for (std::size_t i = 1; i < replicas.size(); ++i) {
-    const int d = topo.Distance(b, replicas[i]);
-    if (d < best_distance) {  // ids ascend, so ties keep the lower id
-      best_distance = d;
-      best = replicas[i];
-    }
+// Routing by id ranges. Distances take one value per tier (tree: 1 inside
+// a rack, 3 inside an intermediate sub-tree, 5 across; flat: 0 to the own
+// machine, 1 to the rest), a rack's and a sub-tree's servers have
+// contiguous ids, and replica lists ascend. So the closest replica, lowest
+// id first among equals, is the first replica in the nearest tier's id
+// range that holds one: two binary searches instead of a distance per
+// replica.
+namespace {
+
+// Lowest replica in [lo, hi) other than `skip`, or kInvalidServer.
+ServerId FirstIn(const std::vector<ServerId>& replicas, ServerId lo,
+                 ServerId hi, ServerId skip) {
+  auto it = std::lower_bound(replicas.begin(), replicas.end(), lo);
+  if (it != replicas.end() && *it == skip) ++it;
+  return it != replicas.end() && *it < hi ? *it : kInvalidServer;
+}
+
+// Closest replica to a machine in `rack`, other than `skip`.
+ServerId ClosestFromRack(const std::vector<ServerId>& replicas, RackId rack,
+                         ServerId skip, const net::Topology& topo) {
+  ServerId best = FirstIn(replicas, topo.rack_server_begin(rack),
+                          topo.rack_server_end(rack), skip);
+  if (best == kInvalidServer && !topo.is_flat()) {
+    const std::uint16_t per_int = topo.racks_per_intermediate();
+    const auto first =
+        static_cast<RackId>(topo.intermediate_of_rack(rack) * per_int);
+    best = FirstIn(replicas, topo.rack_server_begin(first),
+                   topo.rack_server_end(static_cast<RackId>(first + per_int - 1)),
+                   skip);
+  }
+  if (best == kInvalidServer) {
+    best = FirstIn(replicas, 0, topo.num_servers(), skip);
   }
   return best;
 }
 
-ServerId ViewRegistry::NextClosestReplica(ServerId s, ViewId v,
-                                          const net::Topology& topo) const {
-  ServerId best = kInvalidServer;
-  int best_distance = 1 << 20;
-  for (ServerId replica : views_[v].replicas) {
-    if (replica == s) continue;
-    const int d = topo.ServerDistance(s, replica);
-    if (d < best_distance) {
-      best_distance = d;
-      best = replica;
+}  // namespace
+
+ServerId ViewRegistry::ClosestReplica(BrokerId b, ViewId v,
+                                      const net::Topology& topo) const {
+  assert(!views_[v].replicas.empty());
+  return ClosestFromRack(views_[v].replicas, topo.rack_of_broker(b),
+                         kInvalidServer, topo);
+}
+
+void ViewRegistry::ClosestReplicas(ViewId v, const net::Topology& topo,
+                                   std::vector<ServerId>& out) const {
+  const auto& replicas = views_[v].replicas;
+  assert(!replicas.empty());
+  out.assign(topo.num_brokers(), replicas.front());
+  if (topo.is_flat()) {
+    for (ServerId s : replicas) out[topo.broker_of_rack(s)] = s;
+    return;
+  }
+  // Ascending ids meet each sub-tree's replicas as one run, and each rack's
+  // as a run inside it: the first of a sub-tree's run covers its racks,
+  // then the first of each rack's run takes that rack.
+  const std::uint16_t per_int = topo.racks_per_intermediate();
+  std::uint16_t last_int = 0xFFFF;
+  RackId last_rack = 0xFFFF;
+  for (ServerId s : replicas) {
+    const RackId rack = topo.rack_of_server(s);
+    const std::uint16_t i = topo.intermediate_of_rack(rack);
+    if (i != last_int) {
+      last_int = i;
+      const auto first = static_cast<RackId>(i * per_int);
+      for (RackId r = first; r < first + per_int; ++r) {
+        out[topo.broker_of_rack(r)] = s;
+      }
+    }
+    if (rack != last_rack) {
+      last_rack = rack;
+      out[topo.broker_of_rack(rack)] = s;
     }
   }
-  return best;
+}
+
+ServerId ViewRegistry::NextClosestReplica(ServerId s, ViewId v,
+                                          const net::Topology& topo) const {
+  return ClosestFromRack(views_[v].replicas, topo.rack_of_server(s), s, topo);
 }
 
 void ViewRegistry::AddReplica(ViewId v, ServerId s) {

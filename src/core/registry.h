@@ -50,6 +50,11 @@ class ViewRegistry {
   ServerId ClosestReplica(BrokerId b, ViewId v,
                           const net::Topology& topo) const;
 
+  // ClosestReplica for every broker at once (out[b] for broker b), in one
+  // pass over the replica list.
+  void ClosestReplicas(ViewId v, const net::Topology& topo,
+                       std::vector<ServerId>& out) const;
+
   // Closest other replica to server `s` (the "next closest replica" each
   // replica tracks, §3.2); kInvalidServer if `s` holds the only copy.
   ServerId NextClosestReplica(ServerId s, ViewId v,

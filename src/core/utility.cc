@@ -2,25 +2,27 @@
 
 namespace dynasore::core {
 
+double ReadCost(const net::Topology& topo, bool exact_origins,
+                std::span<const store::ReplicaStats::OriginReads> reads,
+                ServerId owner, ServerId target) {
+  double cost = 0;
+  for (const auto& [origin, count] : reads) {
+    cost += static_cast<double>(count) *
+            topo.OriginCost(owner, origin, target, exact_origins);
+  }
+  return cost;
+}
+
 double EstimateProfit(const net::Topology& topo, bool exact_origins,
                       const store::ReplicaStats& stats, ServerId owner,
                       ServerId candidate, ServerId nearest, RackId write_rack,
                       std::vector<store::ReplicaStats::OriginReads>& scratch) {
   stats.CollectReads(scratch);
-  double server_read_cost = 0;
-  double nearest_read_cost = 0;
-  for (const auto& [origin, reads] : scratch) {
-    server_read_cost +=
-        static_cast<double>(reads) *
-        topo.OriginCost(owner, origin, candidate, exact_origins);
-    nearest_read_cost +=
-        static_cast<double>(reads) *
-        topo.OriginCost(owner, origin, nearest, exact_origins);
-  }
   const double write_cost =
       static_cast<double>(stats.TotalWrites()) *
       topo.RackToServerCost(write_rack, candidate);
-  return nearest_read_cost - server_read_cost - write_cost;
+  return ReadCost(topo, exact_origins, scratch, owner, nearest) -
+         ReadCost(topo, exact_origins, scratch, owner, candidate) - write_cost;
 }
 
 }  // namespace dynasore::core

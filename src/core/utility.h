@@ -4,11 +4,20 @@
 // keeping the replica updated on writes.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "common/types.h"
 #include "net/topology.h"
 #include "store/store_server.h"
 
 namespace dynasore::core {
+
+// Cost (switches) of serving the logged `reads`, whose origins are relative
+// to `owner`, from `target`.
+double ReadCost(const net::Topology& topo, bool exact_origins,
+                std::span<const store::ReplicaStats::OriginReads> reads,
+                ServerId owner, ServerId target);
 
 // `owner` is the server whose statistics `stats` were recorded on (origin
 // indices are relative to it). `candidate` is where the view is evaluated

@@ -35,39 +35,6 @@ Topology Topology::MakeFlat(std::uint16_t machines) {
   return t;
 }
 
-RackId Topology::rack_of_server(ServerId s) const {
-  assert(s < num_servers_);
-  return flat_ ? s : static_cast<RackId>(s / servers_per_rack_);
-}
-
-RackId Topology::rack_of_broker(BrokerId b) const {
-  assert(b < num_brokers_);
-  return b;  // one broker per rack; in flat mode machine == rack
-}
-
-std::uint16_t Topology::intermediate_of_rack(RackId r) const {
-  assert(r < num_racks_);
-  return flat_ ? 0 : static_cast<std::uint16_t>(r / racks_per_int_);
-}
-
-std::uint16_t Topology::intermediate_of_server(ServerId s) const {
-  return intermediate_of_rack(rack_of_server(s));
-}
-
-BrokerId Topology::broker_of_rack(RackId r) const {
-  assert(r < num_racks_);
-  return r;
-}
-
-ServerId Topology::rack_server_begin(RackId r) const {
-  return flat_ ? r : static_cast<ServerId>(r * servers_per_rack_);
-}
-
-ServerId Topology::rack_server_end(RackId r) const {
-  return flat_ ? static_cast<ServerId>(r + 1)
-               : static_cast<ServerId>((r + 1) * servers_per_rack_);
-}
-
 Tier Topology::tier_of_switch(SwitchId sw) const {
   assert(sw < num_switches_);
   if (sw == 0) return Tier::kTop;
@@ -82,23 +49,6 @@ SwitchId Topology::intermediate_switch(std::uint16_t i) const {
 SwitchId Topology::rack_switch(RackId r) const {
   assert(!flat_ && r < num_racks_);
   return static_cast<SwitchId>(1 + intermediates_ + r);
-}
-
-int Topology::Distance(BrokerId b, ServerId s) const {
-  if (flat_) return b == s ? 0 : 1;
-  const RackId rb = rack_of_broker(b);
-  const RackId rs = rack_of_server(s);
-  if (rb == rs) return 1;
-  return intermediate_of_rack(rb) == intermediate_of_rack(rs) ? 3 : 5;
-}
-
-int Topology::ServerDistance(ServerId a, ServerId b) const {
-  if (a == b) return 0;
-  if (flat_) return 1;
-  const RackId ra = rack_of_server(a);
-  const RackId rb = rack_of_server(b);
-  if (ra == rb) return 1;
-  return intermediate_of_rack(ra) == intermediate_of_rack(rb) ? 3 : 5;
 }
 
 namespace {
@@ -157,42 +107,6 @@ std::uint16_t Topology::NumOrigins(ServerId /*s*/, bool exact) const {
   return static_cast<std::uint16_t>(racks_per_int_ + intermediates_ - 1);
 }
 
-std::uint16_t Topology::OriginIndex(ServerId server, RackId broker_rack,
-                                    bool exact) const {
-  if (flat_ || exact) return broker_rack;
-  const std::uint16_t si = intermediate_of_server(server);
-  const std::uint16_t bi = intermediate_of_rack(broker_rack);
-  if (si == bi) {
-    return static_cast<std::uint16_t>(broker_rack % racks_per_int_);
-  }
-  const std::uint16_t slot = bi < si ? bi : static_cast<std::uint16_t>(bi - 1);
-  return static_cast<std::uint16_t>(racks_per_int_ + slot);
-}
-
-int Topology::OriginCost(ServerId server, std::uint16_t origin,
-                         ServerId target, bool exact) const {
-  if (flat_) return origin == target ? 0 : 1;  // origin is a machine id
-  if (exact) return RackToServerCost(origin, target);
-  const std::uint16_t si = intermediate_of_server(server);
-  if (origin < racks_per_int_) {
-    const RackId rack = static_cast<RackId>(si * racks_per_int_ + origin);
-    return RackToServerCost(rack, target);
-  }
-  // Aggregated sibling-intermediate origin: decode which intermediate.
-  std::uint16_t slot = static_cast<std::uint16_t>(origin - racks_per_int_);
-  const std::uint16_t oi = slot < si ? slot : static_cast<std::uint16_t>(slot + 1);
-  // The exact rack inside `oi` is unknown: estimate 3 switches within that
-  // sub-tree, 5 from outside it.
-  return intermediate_of_server(target) == oi ? 3 : 5;
-}
-
-int Topology::RackToServerCost(RackId rack, ServerId s) const {
-  if (flat_) return rack == s ? 0 : 1;
-  const RackId rs = rack_of_server(s);
-  if (rack == rs) return 1;
-  return intermediate_of_rack(rack) == intermediate_of_rack(rs) ? 3 : 5;
-}
-
 void Topology::ServersInOrigin(ServerId server, std::uint16_t origin,
                                std::vector<ServerId>& out, bool exact) const {
   const auto [lo, hi] = OriginRackRange(server, origin, exact);
@@ -201,23 +115,6 @@ void Topology::ServersInOrigin(ServerId server, std::uint16_t origin,
       out.push_back(s);
     }
   }
-}
-
-std::pair<RackId, RackId> Topology::OriginRackRange(ServerId server,
-                                                    std::uint16_t origin,
-                                                    bool exact) const {
-  if (flat_ || exact) {
-    return {origin, static_cast<RackId>(origin + 1)};
-  }
-  const std::uint16_t si = intermediate_of_server(server);
-  if (origin < racks_per_int_) {
-    const RackId rack = static_cast<RackId>(si * racks_per_int_ + origin);
-    return {rack, static_cast<RackId>(rack + 1)};
-  }
-  std::uint16_t slot = static_cast<std::uint16_t>(origin - racks_per_int_);
-  const std::uint16_t oi = slot < si ? slot : static_cast<std::uint16_t>(slot + 1);
-  const RackId first = static_cast<RackId>(oi * racks_per_int_);
-  return {first, static_cast<RackId>(first + racks_per_int_)};
 }
 
 }  // namespace dynasore::net

@@ -18,8 +18,10 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -123,5 +125,111 @@ class Topology {
   std::uint16_t num_brokers_ = 0;
   std::uint16_t num_switches_ = 0;
 };
+
+// The per-request accessors and costs are defined here so the engine's hot
+// loops inline them.
+
+inline RackId Topology::rack_of_server(ServerId s) const {
+  assert(s < num_servers_);
+  return flat_ ? s : static_cast<RackId>(s / servers_per_rack_);
+}
+
+inline RackId Topology::rack_of_broker(BrokerId b) const {
+  assert(b < num_brokers_);
+  return b;  // one broker per rack; in flat mode machine == rack
+}
+
+inline std::uint16_t Topology::intermediate_of_rack(RackId r) const {
+  assert(r < num_racks_);
+  return flat_ ? 0 : static_cast<std::uint16_t>(r / racks_per_int_);
+}
+
+inline std::uint16_t Topology::intermediate_of_server(ServerId s) const {
+  return intermediate_of_rack(rack_of_server(s));
+}
+
+inline BrokerId Topology::broker_of_rack(RackId r) const {
+  assert(r < num_racks_);
+  return r;
+}
+
+inline ServerId Topology::rack_server_begin(RackId r) const {
+  return flat_ ? r : static_cast<ServerId>(r * servers_per_rack_);
+}
+
+inline ServerId Topology::rack_server_end(RackId r) const {
+  return flat_ ? static_cast<ServerId>(r + 1)
+               : static_cast<ServerId>((r + 1) * servers_per_rack_);
+}
+
+inline int Topology::Distance(BrokerId b, ServerId s) const {
+  if (flat_) return b == s ? 0 : 1;
+  const RackId rb = rack_of_broker(b);
+  const RackId rs = rack_of_server(s);
+  if (rb == rs) return 1;
+  return intermediate_of_rack(rb) == intermediate_of_rack(rs) ? 3 : 5;
+}
+
+inline int Topology::ServerDistance(ServerId a, ServerId b) const {
+  if (a == b) return 0;
+  if (flat_) return 1;
+  const RackId ra = rack_of_server(a);
+  const RackId rb = rack_of_server(b);
+  if (ra == rb) return 1;
+  return intermediate_of_rack(ra) == intermediate_of_rack(rb) ? 3 : 5;
+}
+
+inline std::uint16_t Topology::OriginIndex(ServerId server, RackId broker_rack,
+                                    bool exact) const {
+  if (flat_ || exact) return broker_rack;
+  const std::uint16_t si = intermediate_of_server(server);
+  const std::uint16_t bi = intermediate_of_rack(broker_rack);
+  if (si == bi) {
+    return static_cast<std::uint16_t>(broker_rack % racks_per_int_);
+  }
+  const std::uint16_t slot = bi < si ? bi : static_cast<std::uint16_t>(bi - 1);
+  return static_cast<std::uint16_t>(racks_per_int_ + slot);
+}
+
+inline int Topology::OriginCost(ServerId server, std::uint16_t origin,
+                         ServerId target, bool exact) const {
+  if (flat_) return origin == target ? 0 : 1;  // origin is a machine id
+  if (exact) return RackToServerCost(origin, target);
+  const std::uint16_t si = intermediate_of_server(server);
+  if (origin < racks_per_int_) {
+    const RackId rack = static_cast<RackId>(si * racks_per_int_ + origin);
+    return RackToServerCost(rack, target);
+  }
+  // Aggregated sibling-intermediate origin: decode which intermediate.
+  std::uint16_t slot = static_cast<std::uint16_t>(origin - racks_per_int_);
+  const std::uint16_t oi = slot < si ? slot : static_cast<std::uint16_t>(slot + 1);
+  // The exact rack inside `oi` is unknown: estimate 3 switches within that
+  // sub-tree, 5 from outside it.
+  return intermediate_of_server(target) == oi ? 3 : 5;
+}
+
+inline int Topology::RackToServerCost(RackId rack, ServerId s) const {
+  if (flat_) return rack == s ? 0 : 1;
+  const RackId rs = rack_of_server(s);
+  if (rack == rs) return 1;
+  return intermediate_of_rack(rack) == intermediate_of_rack(rs) ? 3 : 5;
+}
+
+inline std::pair<RackId, RackId> Topology::OriginRackRange(ServerId server,
+                                                    std::uint16_t origin,
+                                                    bool exact) const {
+  if (flat_ || exact) {
+    return {origin, static_cast<RackId>(origin + 1)};
+  }
+  const std::uint16_t si = intermediate_of_server(server);
+  if (origin < racks_per_int_) {
+    const RackId rack = static_cast<RackId>(si * racks_per_int_ + origin);
+    return {rack, static_cast<RackId>(rack + 1)};
+  }
+  std::uint16_t slot = static_cast<std::uint16_t>(origin - racks_per_int_);
+  const std::uint16_t oi = slot < si ? slot : static_cast<std::uint16_t>(slot + 1);
+  const RackId first = static_cast<RackId>(oi * racks_per_int_);
+  return {first, static_cast<RackId>(first + racks_per_int_)};
+}
 
 }  // namespace dynasore::net

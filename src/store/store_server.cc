@@ -11,9 +11,9 @@ void ReplicaStats::RecordRead(std::uint16_t origin, std::uint32_t n) {
 
 void ReplicaStats::RecordWrite(std::uint32_t n) { writes_.Add(n); }
 
-void ReplicaStats::Rotate() {
-  writes_.Rotate();
-  for (auto& entry : reads_) entry.counter.Rotate();
+void ReplicaStats::Rotate(std::uint32_t periods) {
+  writes_.Rotate(periods);
+  for (auto& entry : reads_) entry.counter.Rotate(periods);
   // Drop origins whose whole window emptied, keeping the scans short.
   std::erase_if(reads_,
                 [](const OriginCounter& c) { return c.counter.IsZero(); });
@@ -41,29 +41,20 @@ void ReplicaStats::CollectReads(std::vector<OriginReads>& out) const {
   }
 }
 
-void ReplicaStats::MergeRemapped(
-    const ReplicaStats& other,
-    const std::function<std::vector<std::uint16_t>(std::uint16_t)>& remap,
-    bool include_writes) {
-  for (const auto& entry : other.reads_) {
-    const std::uint32_t total = entry.counter.Total();
-    if (total == 0) continue;
-    const std::vector<std::uint16_t> targets = remap(entry.origin);
-    if (targets.empty()) continue;
-    const auto share =
-        static_cast<std::uint32_t>(total / targets.size());
-    std::uint32_t remainder =
-        total - share * static_cast<std::uint32_t>(targets.size());
-    for (std::uint16_t target : targets) {
-      std::uint32_t amount = share;
-      if (remainder > 0) {
-        ++amount;
-        --remainder;
-      }
-      if (amount > 0) CounterFor(target).Add(amount);
+void ReplicaStats::SpreadReads(std::uint32_t reads,
+                               std::span<const std::uint16_t> targets) {
+  if (targets.empty()) return;
+  const auto count = static_cast<std::uint32_t>(targets.size());
+  const std::uint32_t share = reads / count;
+  std::uint32_t remainder = reads - share * count;
+  for (std::uint16_t target : targets) {
+    std::uint32_t amount = share;
+    if (remainder > 0) {
+      ++amount;
+      --remainder;
     }
+    if (amount > 0) CounterFor(target).Add(amount);
   }
-  if (include_writes) writes_.Merge(other.writes_);
 }
 
 std::uint32_t ReplicaStats::ExtractOrigin(std::uint16_t origin) {
@@ -93,71 +84,78 @@ StoreServer::StoreServer(ServerId id, const StoreConfig& config)
 }
 
 bool StoreServer::Insert(ViewId view, bool force) {
-  if (Has(view)) return true;
+  const auto it = std::lower_bound(views_.begin(), views_.end(), view);
+  if (it != views_.end() && *it == view) return true;
   if (!force && Full()) return false;
-  auto [it, inserted] = replicas_.emplace(view, Entry(config_.counter_slots));
-  if (inserted && config_.payload_mode) {
-    it->second.data = std::make_unique<ViewData>(config_.max_events_per_view);
+  std::uint32_t pos;
+  if (free_.empty()) {
+    pos = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back(config_.counter_slots, slot_);
+  } else {
+    pos = free_.back();
+    free_.pop_back();
+    pool_[pos] = Entry(config_.counter_slots, slot_);
   }
+  if (config_.payload_mode) {
+    pool_[pos].data = std::make_unique<ViewData>(config_.max_events_per_view);
+  }
+  pool_pos_.insert(pool_pos_.begin() + (it - views_.begin()), pos);
+  views_.insert(it, view);
   return true;
 }
 
-void StoreServer::Erase(ViewId view) { replicas_.erase(view); }
+void StoreServer::Erase(ViewId view) {
+  const std::size_t i = IndexOf(view);
+  if (i == kAbsent) return;
+  const auto at = static_cast<std::ptrdiff_t>(i);
+  EntryAt(i).data.reset();
+  free_.push_back(pool_pos_[i]);
+  views_.erase(views_.begin() + at);
+  pool_pos_.erase(pool_pos_.begin() + at);
+}
 
 ReplicaStats* StoreServer::Find(ViewId view) {
-  auto it = replicas_.find(view);
-  return it == replicas_.end() ? nullptr : &it->second.stats;
+  const std::size_t i = IndexOf(view);
+  return i == kAbsent ? nullptr : &CaughtUp(EntryAt(i));
 }
 
 const ReplicaStats* StoreServer::Find(ViewId view) const {
-  auto it = replicas_.find(view);
-  return it == replicas_.end() ? nullptr : &it->second.stats;
+  const std::size_t i = IndexOf(view);
+  return i == kAbsent ? nullptr : &CaughtUp(EntryAt(i));
 }
 
 void StoreServer::RecordRead(ViewId view, std::uint16_t origin) {
-  auto it = replicas_.find(view);
-  assert(it != replicas_.end());
-  it->second.stats.RecordRead(origin);
+  const std::size_t i = IndexOf(view);
+  assert(i != kAbsent);
+  CaughtUp(EntryAt(i)).RecordRead(origin);
 }
 
 void StoreServer::RecordWrite(ViewId view) {
-  auto it = replicas_.find(view);
-  assert(it != replicas_.end());
-  it->second.stats.RecordWrite();
-}
-
-void StoreServer::RotateCounters() {
-  for (auto& [view, entry] : replicas_) entry.stats.Rotate();
+  const std::size_t i = IndexOf(view);
+  assert(i != kAbsent);
+  CaughtUp(EntryAt(i)).RecordWrite();
 }
 
 double StoreServer::utility(ViewId view) const {
-  auto it = replicas_.find(view);
-  assert(it != replicas_.end());
-  return it->second.utility;
+  const std::size_t i = IndexOf(view);
+  assert(i != kAbsent);
+  return EntryAt(i).utility;
 }
 
 void StoreServer::set_utility(ViewId view, double utility) {
-  auto it = replicas_.find(view);
-  assert(it != replicas_.end());
-  it->second.utility = utility;
-}
-
-std::vector<ViewId> StoreServer::SortedViews() const {
-  std::vector<ViewId> views;
-  views.reserve(replicas_.size());
-  for (const auto& [view, entry] : replicas_) views.push_back(view);
-  std::sort(views.begin(), views.end());
-  return views;
+  const std::size_t i = IndexOf(view);
+  assert(i != kAbsent);
+  EntryAt(i).utility = utility;
 }
 
 ViewData* StoreServer::FindData(ViewId view) {
-  auto it = replicas_.find(view);
-  return it == replicas_.end() ? nullptr : it->second.data.get();
+  const std::size_t i = IndexOf(view);
+  return i == kAbsent ? nullptr : EntryAt(i).data.get();
 }
 
 const ViewData* StoreServer::FindData(ViewId view) const {
-  auto it = replicas_.find(view);
-  return it == replicas_.end() ? nullptr : it->second.data.get();
+  const std::size_t i = IndexOf(view);
+  return i == kAbsent ? nullptr : EntryAt(i).data.get();
 }
 
 }  // namespace dynasore::store

@@ -207,6 +207,30 @@ TEST(RotatingCounterTest, PartialRotationKeepsRecent) {
   EXPECT_EQ(c.Total(), 0u);
 }
 
+TEST(RotatingCounterTest, MultiPeriodRotateEqualsRepeatedRotate) {
+  for (std::uint32_t periods = 0; periods <= 9; ++periods) {
+    RotatingCounter stepped(4);
+    RotatingCounter jumped(4);
+    for (std::uint16_t i = 1; i <= 3; ++i) {
+      stepped.Add(i);
+      jumped.Add(i);
+      stepped.Rotate();
+      jumped.Rotate();
+    }
+    for (std::uint32_t i = 0; i < periods; ++i) stepped.Rotate();
+    jumped.Rotate(periods);
+    EXPECT_EQ(jumped.Total(), stepped.Total()) << periods;
+    // The head lands on the same slot: later adds expire together.
+    stepped.Add(7);
+    jumped.Add(7);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(jumped.Total(), stepped.Total()) << periods << " " << i;
+      stepped.Rotate();
+      jumped.Rotate();
+    }
+  }
+}
+
 TEST(RotatingCounterTest, SaturatesInsteadOfOverflowing) {
   RotatingCounter c(2);
   c.Add(0xFFFFu);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "core/engine.h"
@@ -355,6 +356,63 @@ TEST(AdaptiveEngineTest, EvictionSkipsPinnedViews) {
                 AdaptiveConfig(/*capacity=*/4));
   engine.Tick(3600);
   EXPECT_EQ(engine.server(0).used(), 4u);
+}
+
+TEST(AdaptiveEngineTest, EvictionOrderIsUtilityThenViewId) {
+  const auto topo = SmallTopo();
+  // Server 2 (rack 1) holds ten views; every other replica sits in the far
+  // intermediate (servers 4-7) unless noted. Reads from broker 1 (rack 1)
+  // are worth 5 - 1 = 4 each to server 2's replica.
+  //   view 0: also on server 0, written once -> dropped there as negative
+  //           (server 0 ticks first), so pinned here with utility -3;
+  //   view 1: sole replica -> pinned, infinite utility;
+  //   view 2: written once, never read -> utility -1, dropped as negative;
+  //   views 3..9: read 1, 3, 1, 2, 0, 2, 5 times -> 4, 12, 4, 8, 0, 8, 20.
+  Engine engine(topo,
+                MakePlacement({{0, 2},
+                               {2},
+                               {2, 4},
+                               {2, 4},
+                               {2, 5},
+                               {2, 6},
+                               {2, 7},
+                               {2, 4},
+                               {2, 5},
+                               {2, 6}}),
+                [] {
+                  EngineConfig config = AdaptiveConfig(/*capacity=*/10);
+                  config.enable_replication = false;
+                  config.enable_migration = false;
+                  config.enable_proxy_migration = false;
+                  config.store.evict_watermark = 0.5;  // keep <= 5 views
+                  config.store.threshold_fill = 0.5;   // 5 slots
+                  return config;
+                }());
+  const std::uint32_t reads[] = {0, 0, 0, 1, 3, 1, 2, 0, 2, 5};
+  for (ViewId v = 0; v < 10; ++v) {
+    const std::vector<ViewId> target{v};
+    for (std::uint32_t i = 0; i < reads[v]; ++i) {
+      engine.ExecuteRead(/*reader=*/1, target, 1);  // user 1: broker 1
+    }
+  }
+  engine.ExecuteWrite(0, 1);
+  engine.ExecuteWrite(2, 1);
+  engine.Tick(3600);
+
+  EXPECT_EQ(engine.counters().drops_negative, 2u);  // view 0 on 0, view 2
+  // Ranked: 0 (-3, pinned), 7 (0), 3 (4), 5 (4), 6 (8), 8 (8), 4 (12),
+  // 9 (20), 1 (inf). Four go, lowest utility first and the lower id first
+  // among equals: 7, 3, 5, then 6 ahead of its tie 8.
+  EXPECT_EQ(engine.counters().evictions_watermark, 4u);
+  const store::StoreServer& server = engine.server(2);
+  const std::span<const ViewId> kept = server.views();
+  EXPECT_EQ(std::vector<ViewId>(kept.begin(), kept.end()),
+            (std::vector<ViewId>{0, 1, 4, 8, 9}));
+  // The threshold is the 5th-highest utility before eviction: inf, 20, 12,
+  // 8, 8.
+  EXPECT_DOUBLE_EQ(server.admission_threshold(), 8.0);
+  EXPECT_EQ(server.utility(1), store::kInfiniteUtility);
+  EXPECT_DOUBLE_EQ(server.utility(0), -3.0);
 }
 
 // ----- Admission thresholds -----

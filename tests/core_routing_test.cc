@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "core/registry.h"
 #include "net/topology.h"
 #include "placement/placement.h"
@@ -53,6 +56,58 @@ TEST(ViewRegistryTest, TieBreaksOnLowerServerId) {
   // (racks 0 and 1, both intermediate 0) and broker in rack 2 (int 1).
   const ViewRegistry registry(MakePlacement({{0, 2}}), topo);
   EXPECT_EQ(registry.ClosestReplica(2, 0, topo), 0);
+}
+
+TEST(ViewRegistryTest, RoutingMatchesMinimumDistanceReference) {
+  // Random replica sets on a tree and a flat topology: ClosestReplica,
+  // ClosestReplicas and NextClosestReplica equal a scan for the minimum
+  // distance that keeps the lowest id among equals.
+  const net::Topology topos[] = {
+      net::Topology::MakeTree(net::TreeConfig{3, 3, 4}),
+      net::Topology::MakeFlat(9)};
+  std::mt19937 rng(7);
+  for (const net::Topology& topo : topos) {
+    std::vector<std::vector<ServerId>> sets;
+    for (int i = 0; i < 200; ++i) {
+      std::vector<ServerId> set;
+      for (ServerId s = 0; s < topo.num_servers(); ++s) {
+        if (rng() % 5 == 0) set.push_back(s);
+      }
+      if (set.empty()) {
+        set.push_back(static_cast<ServerId>(i % topo.num_servers()));
+      }
+      sets.push_back(std::move(set));
+    }
+    const ViewRegistry registry(MakePlacement(sets), topo);
+    std::vector<ServerId> all;
+    for (ViewId v = 0; v < registry.num_views(); ++v) {
+      const std::vector<ServerId>& replicas = sets[v];
+      registry.ClosestReplicas(v, topo, all);
+      ASSERT_EQ(all.size(), topo.num_brokers());
+      for (BrokerId b = 0; b < topo.num_brokers(); ++b) {
+        ServerId want = replicas.front();
+        for (ServerId s : replicas) {
+          if (topo.Distance(b, s) < topo.Distance(b, want)) want = s;
+        }
+        ASSERT_EQ(registry.ClosestReplica(b, v, topo), want)
+            << "view " << v << " broker " << b << " flat " << topo.is_flat();
+        ASSERT_EQ(all[b], want)
+            << "view " << v << " broker " << b << " flat " << topo.is_flat();
+      }
+      for (ServerId s = 0; s < topo.num_servers(); ++s) {
+        ServerId want = kInvalidServer;
+        for (ServerId r : replicas) {
+          if (r == s) continue;
+          if (want == kInvalidServer ||
+              topo.ServerDistance(s, r) < topo.ServerDistance(s, want)) {
+            want = r;
+          }
+        }
+        ASSERT_EQ(registry.NextClosestReplica(s, v, topo), want)
+            << "view " << v << " server " << s << " flat " << topo.is_flat();
+      }
+    }
+  }
 }
 
 TEST(ViewRegistryTest, NextClosestReplica) {

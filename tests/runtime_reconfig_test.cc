@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "graph/generator.h"
+#include "runtime/fault_injector.h"
 #include "runtime/sharded_runtime.h"
 #include "sim/experiment.h"
 #include "workload/partition.h"
@@ -396,6 +397,142 @@ TEST(RuntimeReconfigTest, PayloadCoherenceFollowsTheShardSet) {
     ASSERT_NE(data, nullptr);
     ASSERT_EQ(data->events().size(), expect.size());
     EXPECT_EQ(data->events().front().payload, expect.front().payload);
+  }
+}
+
+// ----- Owner-only maintenance: state hand-off after ticks -----
+//
+// A shard ticks only the views it maintains; every other replica's
+// counters rotate lazily, on its next access. Payload coherence and sync
+// replication record writes on replicas a shard does not maintain, and a
+// kill rebuilds the victim's views from those backup copies, so both paths
+// read non-owned state. The hand-off must still carry exactly the
+// exporter's state, and the run must equal one that rotated every replica
+// at every tick: the golden numbers below were recorded that way.
+
+wl::RequestLog ShiftedLog(wl::RequestLog log, SimTime by) {
+  for (Request& r : log.requests) r.time -= by;
+  log.duration -= by;
+  return log;
+}
+
+void ExpectSameViewState(const core::ViewStateSnapshot& want,
+                         const core::ViewStateSnapshot& got) {
+  EXPECT_EQ(got.read_proxy, want.read_proxy);
+  EXPECT_EQ(got.write_proxy, want.write_proxy);
+  EXPECT_EQ(got.last_change_slot, want.last_change_slot);
+  ASSERT_EQ(got.replicas.size(), want.replicas.size());
+  std::vector<store::ReplicaStats::OriginReads> want_reads;
+  std::vector<store::ReplicaStats::OriginReads> got_reads;
+  for (std::size_t i = 0; i < want.replicas.size(); ++i) {
+    const auto& w = want.replicas[i];
+    const auto& g = got.replicas[i];
+    EXPECT_EQ(g.server, w.server);
+    EXPECT_EQ(g.utility, w.utility);
+    EXPECT_EQ(g.stats.TotalWrites(), w.stats.TotalWrites());
+    w.stats.CollectReads(want_reads);
+    g.stats.CollectReads(got_reads);
+    ASSERT_EQ(got_reads.size(), want_reads.size());
+    for (std::size_t o = 0; o < want_reads.size(); ++o) {
+      EXPECT_EQ(got_reads[o].origin, want_reads[o].origin);
+      EXPECT_EQ(got_reads[o].reads, want_reads[o].reads);
+    }
+  }
+}
+
+TEST(RuntimeReconfigTest, OwnerChangeAfterTicksHandsOffExactState) {
+  const auto g = TestGraph(600);
+  const wl::RequestLog log = TestLog(g, 1.0);
+  // Two halves of one day: 12 ticks, a resize between runs, 12 more ticks.
+  constexpr SimTime kHalf = kSecondsPerHour * 12;
+  wl::RequestLog first;
+  wl::RequestLog second;
+  for (const Request& r : log.requests) {
+    (r.time < kHalf ? first : second).requests.push_back(r);
+  }
+  first.duration = kHalf;
+  second.duration = log.duration;
+  second = ShiftedLog(std::move(second), kHalf);
+
+  sim::ExperimentConfig config = BaseConfig(/*adaptive=*/true);
+  config.engine.store.payload_mode = true;
+  // Four-slot windows turn over several times per half: a replica that
+  // missed its rotations would still count writes that have aged out.
+  config.engine.store.counter_slots = 4;
+  const RuntimeFixture fx = MakeFixture(g, config);
+  persist::PersistentStore persist;
+  for (UserId u = 0; u < g.num_users(); ++u) persist.Append({u, 0, "seed"});
+
+  RuntimeConfig rt_config;
+  rt_config.num_shards = 2;
+  rt_config.replication.enabled = true;
+  rt_config.replication.factor = 1;
+  ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine, rt_config);
+  runtime.AttachPersistentStore(&persist);
+  const RuntimeResult a = runtime.Run(first);
+  EXPECT_EQ(a.totals.requests, a.expected_requests);
+
+  // The moving view with the most replicas (then the lowest id) among
+  // those whose window still holds writes.
+  const ShardMap before(2, g.num_users(), ShardingMode::kHash);
+  const ShardMap after(3, g.num_users(), ShardingMode::kHash);
+  core::ViewStateSnapshot exported;
+  for (ViewId v = 0; v < g.num_users(); ++v) {
+    if (before.shard_of(v) == after.shard_of(v)) continue;
+    core::ViewStateSnapshot snap =
+        runtime.shard_engine(before.shard_of(v)).ExportViewState(v);
+    std::uint32_t writes = 0;
+    for (const auto& replica : snap.replicas) {
+      writes += replica.stats.TotalWrites();
+    }
+    if (writes > 0 && snap.replicas.size() > exported.replicas.size()) {
+      exported = std::move(snap);
+    }
+  }
+  const ViewId moved = exported.view;
+  ASSERT_NE(moved, kInvalidView);
+  ASSERT_GE(exported.replicas.size(), 2u);
+
+  runtime.Reconfigure(3);
+  ASSERT_EQ(runtime.num_shards(), 3u);
+  ExpectSameViewState(
+      exported,
+      runtime.shard_engine(after.shard_of(moved)).ExportViewState(moved));
+
+  // The second half kills the new shard: its views rebuild from the backup
+  // copies a non-owner kept.
+  FaultInjector injector;
+  injector.KillShardAt(/*epoch=*/4, /*shard=*/2);
+  runtime.SetFaultInjector(&injector);
+  const RuntimeResult b = runtime.Run(second);
+  EXPECT_EQ(b.totals.requests, a.totals.requests + b.expected_requests);
+  ASSERT_EQ(b.fault_events.size(), 1u);
+  EXPECT_GT(b.fault_events.front().views_replica, 0u);
+
+  const core::EngineCounters& c = b.counters;
+  // Lifetime counters and traffic, both halves.
+  const std::uint64_t want[] = {2400, 600,  39589, 890, 7157, 6936,
+                                6725, 211, 16,    1274, 387, 0};
+  const std::uint64_t got[] = {c.reads,
+                               c.writes,
+                               c.view_reads,
+                               c.replica_updates,
+                               c.replicas_created,
+                               c.replicas_dropped,
+                               c.evictions_watermark,
+                               c.drops_negative,
+                               c.migrations,
+                               c.read_proxy_migrations,
+                               c.write_proxy_migrations,
+                               c.crash_rebuilds};
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "counter " << i;
+  }
+  const std::uint64_t want_app[] = {447220, 1135620, 1497980};
+  const std::uint64_t want_sys[] = {225020, 499042, 555391};
+  for (int tier = 0; tier < net::kNumTiers; ++tier) {
+    EXPECT_EQ(b.traffic_app[tier], want_app[tier]) << "tier " << tier;
+    EXPECT_EQ(b.traffic_sys[tier], want_sys[tier]) << "tier " << tier;
   }
 }
 

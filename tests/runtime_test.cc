@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 #include "workload/flash.h"
 #include "workload/partition.h"
 #include "workload/synthetic.h"
+#include "workload/trace.h"
 
 namespace dynasore::rt {
 namespace {
@@ -247,6 +249,70 @@ void ExpectCountersEq(const core::EngineCounters& a,
   EXPECT_EQ(a.read_proxy_migrations, b.read_proxy_migrations);
   EXPECT_EQ(a.write_proxy_migrations, b.write_proxy_migrations);
   EXPECT_EQ(a.crash_rebuilds, b.crash_rebuilds);
+}
+
+// ----- Golden replay -----
+//
+// One fixed-seed activity-trace replay through the sequential adaptive
+// engine and through a 2-shard kEpoch runtime, against counters and
+// per-tier traffic recorded before the engine's maintenance was rewritten
+// for speed (flat replica tables, sort-once eviction, lazy counter
+// rotation). Every adaptation decision breaks ties by view id, so a changed
+// order or tie-break anywhere in the engine changes these numbers.
+
+struct GoldenTraffic {
+  std::array<std::uint64_t, net::kNumTiers> app;
+  std::array<std::uint64_t, net::kNumTiers> sys;
+};
+
+wl::RequestLog GoldenTrace(const graph::SocialGraph& g) {
+  wl::TraceLogConfig config;
+  config.days = 2.0;
+  config.seed = 13;
+  return wl::GenerateActivityTrace(g, config);
+}
+
+sim::ExperimentConfig GoldenConfig() {
+  sim::ExperimentConfig config = BaseConfig(/*adaptive=*/true);
+  config.extra_memory_pct = 30;  // memory pressure: evictions every tick
+  return config;
+}
+
+TEST(GoldenReplayTest, SequentialEngineMatchesRecordedRun) {
+  const auto g = TestGraph();
+  const auto log = GoldenTrace(g);
+  const sim::SimResult result = sim::RunExperiment(g, log, GoldenConfig());
+  ExpectCountersEq(result.counters,
+                   core::EngineCounters{672, 1166, 14035, 1427, 3904, 3748,
+                                        3610, 138, 93, 470, 361, 0});
+  const GoldenTraffic want{{201360, 470500, 578380},
+                           {111423, 250682, 284669}};
+  for (int tier = 0; tier < net::kNumTiers; ++tier) {
+    EXPECT_EQ(result.full_run[tier].app, static_cast<double>(want.app[tier]))
+        << "tier " << tier;
+    EXPECT_EQ(result.full_run[tier].sys, static_cast<double>(want.sys[tier]))
+        << "tier " << tier;
+  }
+}
+
+TEST(GoldenReplayTest, TwoShardEpochRuntimeMatchesRecordedRun) {
+  const auto g = TestGraph();
+  const auto log = GoldenTrace(g);
+  const RuntimeFixture fx = MakeFixture(g, GoldenConfig());
+  RuntimeConfig rt_config;
+  rt_config.num_shards = 2;
+  rt_config.drain = DrainPolicy::kEpoch;
+  ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine, rt_config);
+  const RuntimeResult result = runtime.Run(log);
+  ExpectCountersEq(result.counters,
+                   core::EngineCounters{672, 1166, 14035, 1594, 7129, 6809,
+                                        6524, 285, 20, 466, 481, 0});
+  const GoldenTraffic want{{194260, 466280, 584600},
+                           {214258, 477790, 536057}};
+  for (int tier = 0; tier < net::kNumTiers; ++tier) {
+    EXPECT_EQ(result.traffic_app[tier], want.app[tier]) << "tier " << tier;
+    EXPECT_EQ(result.traffic_sys[tier], want.sys[tier]) << "tier " << tier;
+  }
 }
 
 // ----- Single-shard equivalence with the sequential engine -----

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "store/store_server.h"
@@ -52,11 +53,25 @@ TEST(StoreServerTest, WatermarkDetection) {
   EXPECT_TRUE(server.AboveWatermark());
 }
 
-TEST(StoreServerTest, SortedViewsIsSortedAndComplete) {
+TEST(StoreServerTest, ViewsAreSortedAndComplete) {
   StoreServer server(0, SmallConfig(10));
   for (ViewId v : {7u, 1u, 9u, 3u}) server.Insert(v);
-  const std::vector<ViewId> views = server.SortedViews();
-  EXPECT_EQ(views, (std::vector<ViewId>{1, 3, 7, 9}));
+  server.Erase(3);
+  server.Insert(5);
+  const std::span<const ViewId> views = server.views();
+  EXPECT_EQ(std::vector<ViewId>(views.begin(), views.end()),
+            (std::vector<ViewId>{1, 5, 7, 9}));
+}
+
+TEST(StoreServerTest, PositionalAccessorsFollowTheSortedTable) {
+  StoreServer server(0, SmallConfig(10));
+  for (ViewId v : {7u, 1u, 9u}) server.Insert(v);
+  server.set_utility(9, 2.5);
+  server.set_utility_at(0, -1.0);  // view 1
+  server.RecordWrite(7);
+  EXPECT_DOUBLE_EQ(server.utility(1), -1.0);
+  EXPECT_DOUBLE_EQ(server.utility_at(2), 2.5);
+  EXPECT_EQ(server.stats_at(1).TotalWrites(), 1u);
 }
 
 // ----- Statistics -----
@@ -89,8 +104,46 @@ TEST(StoreServerTest, RotationExpiresOldWindow) {
   StoreServer server(0, config);
   server.Insert(5);
   server.RecordRead(5, 1);
-  for (int i = 0; i < 3; ++i) server.RotateCounters();
+  for (int i = 0; i < 3; ++i) server.AdvanceSlot();
   EXPECT_EQ(server.Find(5)->TotalReads(), 0u);
+}
+
+TEST(StoreServerTest, LazyRotationMatchesEagerRotation) {
+  // One replica is read at every slot, the other only at the end: the
+  // lagging one catches up to exactly what rotating it each slot gives.
+  StoreConfig config = SmallConfig();
+  config.counter_slots = 4;
+  StoreServer server(0, config);
+  server.Insert(1);
+  server.Insert(2);
+  ReplicaStats eager(4);
+  for (std::uint16_t origin = 0; origin < 3; ++origin) {
+    server.RecordRead(1, origin);
+    server.RecordRead(2, origin);
+    server.RecordWrite(2);
+    eager.RecordRead(origin);
+    eager.RecordWrite();
+    server.AdvanceSlot();
+    eager.Rotate();
+    ASSERT_NE(server.Find(1), nullptr);  // touch view 1 every slot
+  }
+  for (int i = 0; i < 2; ++i) {
+    server.AdvanceSlot();
+    eager.Rotate();
+  }
+  const ReplicaStats* lazy = server.Find(2);
+  ASSERT_NE(lazy, nullptr);
+  for (std::uint16_t origin = 0; origin < 3; ++origin) {
+    EXPECT_EQ(lazy->ReadsFrom(origin), eager.ReadsFrom(origin)) << origin;
+  }
+  EXPECT_EQ(lazy->TotalReads(), 1u);  // only the last slot's read survives
+  EXPECT_EQ(lazy->TotalWrites(), eager.TotalWrites());
+  EXPECT_EQ(server.Find(1)->TotalReads(), lazy->TotalReads());
+  // A replica inserted now starts on the current slot, not behind it.
+  server.Insert(3);
+  server.RecordRead(3, 0);
+  server.AdvanceSlot();
+  EXPECT_EQ(server.Find(3)->TotalReads(), 1u);
 }
 
 TEST(ReplicaStatsTest, CollectReadsSkipsEmptyOrigins) {
