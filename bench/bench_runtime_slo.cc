@@ -95,12 +95,11 @@ Outcome RunScenario(const graph::SocialGraph& g, const wl::RequestLog& log,
   rt::RuntimeConfig rt_config;
   rt_config.queue_depth = kQueueDepth;
   rt_config.batch_size = kBatchSize;
-  // Eager drain with no staleness bound: remote slices are served as soon
-  // as the peer polls, so the end-to-end join measures queueing and
-  // execution rather than epoch-boundary waits (under kEpoch every remote
-  // slice waits for the boundary, which would *reward* underprovisioning).
+  // Eager drain: remote slices are served as soon as the peer polls, so
+  // the end-to-end join measures queueing and execution rather than
+  // epoch-boundary waits (under kEpoch every remote slice waits for the
+  // boundary, which would *reward* underprovisioning).
   rt_config.drain = rt::DrainPolicy::kEager;
-  rt_config.staleness_micros = 0;
   rt_config.telemetry.enabled = telemetry;
   // The scaler runs in every scenario — as the per-epoch latency observer.
   // calib pins min == max == kMaxShards so it can never decide; the scaled

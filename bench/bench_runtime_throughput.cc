@@ -9,24 +9,22 @@
 // maintenance runs on every shard engine and therefore scales sub-linearly
 // by design.
 //
-// A second section compares the communication plane at a fixed 4 shards:
-// the mutex transport with epoch drains (the original path), lock-free SPSC
-// rings with epoch drains (bit-identical results, cheaper handoff), and
-// SPSC rings with the eager sub-epoch drain (serves remote slices as soon
-// as they age past the staleness bound — collapsing the freshness tail the
-// epoch drain hides). Each configuration runs with the persistent store's
+// A second section compares the drain policies at a fixed 4 shards: the
+// epoch drain (the deterministic default) against the eager sub-epoch drain
+// (serves remote slices after every batch — collapsing the freshness tail
+// the epoch drain hides). Each policy runs with the persistent store's
 // payload mode off and on, measuring the replicated-write coherence path.
 //
 // A third section ("tuned16") runs the high-shard-count showdown: the
 // old default configuration (queue_depth=64, batch_size=128, unpinned)
 // against the tuned fast path (the committed swept defaults, pinned +
-// first-touched workers) at 16 shards, both spsc+epoch. Both runs must
+// first-touched workers) at 16 shards, both epoch-drained. Both runs must
 // conserve every request (the verdict is the process exit code); the tuned
 // run is the one results/ commits.
 //
 // Flags (bench_util): --scale=F --days=F --seed=N --graph=NAME --smoke
 // --csv-dir=PATH --trace=PATH --timeseries=PATH (telemetry export from the
-// spsc+epoch payload-off fabric-comparison run) --shards=A,B,C (replaces
+// epoch payload-off drain-comparison run) --shards=A,B,C (replaces
 // the power-of-two sweep) --queue-depth=N --batch-size=N --pin
 // --drain=epoch|eager (RuntimeConfig overrides) and --tune
 // (run one configuration, print one parsable "TUNE,..." line — the
@@ -53,11 +51,12 @@ using bench::BenchArgs;
 
 namespace {
 
-// `section` disambiguates the two report shapes: "sweep" rows take their
-// speedup relative to the 1-shard run of the same sweep, "fabric4" rows
-// relative to the mutex+epoch baseline at the same shard count.
+// `section` disambiguates the report shapes: "sweep" rows take their
+// speedup relative to the 1-shard run of the same sweep, "drain4" rows
+// relative to the epoch-drain baseline at the same shard count and payload
+// mode, "tuned16" rows relative to the pre-PR default.
 constexpr char kCsvHeader[] =
-    "section,workload,mode,payload,transport,drain,shards,queue_depth,"
+    "section,workload,mode,payload,drain,shards,queue_depth,"
     "batch_size,pinned,ops_per_sec,speedup,p50_us,p99_us,p999_us,"
     "fresh_p99_us\n";
 
@@ -81,16 +80,9 @@ std::vector<std::uint32_t> ShardSweep(const BenchArgs& args) {
 void ApplyTuningFlags(const BenchArgs& args, rt::RuntimeConfig* rt_config) {
   if (args.queue_depth != 0) rt_config->queue_depth = args.queue_depth;
   if (args.batch_size != 0) rt_config->batch_size = args.batch_size;
-  if (args.pin) {
-    rt_config->placement.pin_threads = true;
-    rt_config->placement.first_touch = true;
-  }
+  if (args.pin) rt_config->placement.pin_workers = true;
   if (args.drain == "eager") rt_config->drain = rt::DrainPolicy::kEager;
   if (args.drain == "epoch") rt_config->drain = rt::DrainPolicy::kEpoch;
-}
-
-const char* TransportName(rt::FabricTransport t) {
-  return t == rt::FabricTransport::kMutex ? "mutex" : "spsc";
 }
 
 const char* DrainName(rt::DrainPolicy d) {
@@ -98,10 +90,9 @@ const char* DrainName(rt::DrainPolicy d) {
 }
 
 struct RunRow {
-  std::string label;  // fabric-comparison rows: "<transport>+<drain>"
+  std::string label;  // tuned16 rows: the configuration's name
   std::uint32_t shards = 0;
   bool payload = false;
-  rt::FabricTransport transport = rt::FabricTransport::kSpsc;
   rt::DrainPolicy drain = rt::DrainPolicy::kEpoch;
   std::uint32_t queue_depth = 0;
   std::uint32_t batch_size = 0;
@@ -158,11 +149,10 @@ RunRow RunOnce(const WorkloadCase& wc, const rt::RuntimeConfig& rt_config,
   RunRow row;
   row.shards = rt_config.num_shards;
   row.payload = wc.payload;
-  row.transport = rt_config.transport;
   row.drain = rt_config.drain;
   row.queue_depth = rt_config.queue_depth;
   row.batch_size = rt_config.batch_size;
-  row.pinned = rt_config.placement.pin_threads;
+  row.pinned = rt_config.placement.pin_workers;
   row.ops_per_sec = result.ops_per_sec;
   row.messages = result.totals.messages_sent;
   row.completion = result.completion_percentiles;
@@ -176,7 +166,6 @@ void AppendCsv(const char* section, const char* workload, const char* mode,
   csv->append(section).append(",");
   csv->append(workload).append(",").append(mode).append(",");
   csv->append(row.payload ? "on" : "off").append(",");
-  csv->append(TransportName(row.transport)).append(",");
   csv->append(DrainName(row.drain)).append(",");
   csv->append(std::to_string(row.shards)).append(",");
   csv->append(std::to_string(row.queue_depth)).append(",");
@@ -227,53 +216,39 @@ std::vector<RunRow> RunSweep(WorkloadCase wc,
   return rows;
 }
 
-// The fixed-shard fabric comparison: transports x drain policies, payload
-// off/on. The first row (mutex+epoch, the original path) is the speedup
-// baseline.
-void RunFabricComparison(WorkloadCase wc, std::uint32_t shards,
-                         std::string* csv) {
-  struct Config {
-    rt::FabricTransport transport;
-    rt::DrainPolicy drain;
-  };
-  const Config configs[] = {
-      {rt::FabricTransport::kMutex, rt::DrainPolicy::kEpoch},
-      {rt::FabricTransport::kSpsc, rt::DrainPolicy::kEpoch},
-      {rt::FabricTransport::kSpsc, rt::DrainPolicy::kEager},
-  };
-
-  std::printf("-- fabric comparison: %u shards, synthetic workload, static "
+// The fixed-shard drain comparison: epoch vs eager, payload off/on. Each
+// payload mode's epoch row is that mode's speedup baseline.
+void RunDrainComparison(WorkloadCase wc, std::uint32_t shards,
+                        std::string* csv) {
+  std::printf("-- drain comparison: %u shards, synthetic workload, static "
               "engine --\n", shards);
-  common::TablePrinter table({"fabric", "payload", "ops/sec", "speedup",
+  common::TablePrinter table({"drain", "payload", "ops/sec", "speedup",
                               "p50_us", "p99_us", "p999_us", "fresh_p99_us"});
-  double baseline = 0;
   for (const bool payload : {false, true}) {
     wc.payload = payload;
-    for (const Config& c : configs) {
+    double baseline = 0;
+    for (const rt::DrainPolicy drain :
+         {rt::DrainPolicy::kEpoch, rt::DrainPolicy::kEager}) {
       rt::RuntimeConfig rt_config;
       rt_config.num_shards = shards;
-      rt_config.transport = c.transport;
-      rt_config.drain = c.drain;
-      // Telemetry export rides the spsc+epoch payload-off run — the
-      // default-transport configuration, so the trace shows the plane CI
-      // exercises everywhere else.
+      rt_config.drain = drain;
+      // Telemetry export rides the epoch payload-off run — the default
+      // configuration, so the trace shows the plane CI exercises
+      // everywhere else.
       rt_config.telemetry.enabled = bench::WantRunTelemetry(*wc.args) &&
                                     !payload &&
-                                    c.transport == rt::FabricTransport::kSpsc &&
-                                    c.drain == rt::DrainPolicy::kEpoch;
+                                    drain == rt::DrainPolicy::kEpoch;
       RunRow row = RunOnce(wc, rt_config);
-      row.label = std::string(TransportName(c.transport)) + "+" +
-                  DrainName(c.drain);
       if (baseline == 0) baseline = row.ops_per_sec;
       row.speedup = baseline > 0 ? row.ops_per_sec / baseline : 1.0;
-      table.AddRow({row.label, payload ? "on" : "off",
+      table.AddRow({DrainName(drain), payload ? "on" : "off",
                     common::TablePrinter::Fmt(row.ops_per_sec, 0),
                     common::TablePrinter::Fmt(row.speedup, 2),
                     common::TablePrinter::Fmt(row.completion.p50_us, 1),
                     common::TablePrinter::Fmt(row.completion.p99_us, 1),
                     common::TablePrinter::Fmt(row.completion.p999_us, 1),
                     common::TablePrinter::Fmt(row.fresh_p99_us, 1)});
-      AppendCsv("fabric4", "synthetic", "static", row, csv);
+      AppendCsv("drain4", "synthetic", "static", row, csv);
     }
   }
   table.Print();
@@ -299,7 +274,7 @@ int RunTuneMode(const WorkloadCase& wc, const BenchArgs& args) {
 
 // The high-shard-count showdown: the old defaults (queue_depth=64,
 // batch_size=128, unpinned) vs the tuned fast path (the committed swept
-// defaults, pinned + first-touched workers), both spsc+epoch so results
+// defaults, pinned + first-touched workers), both epoch-drained so results
 // are bit-comparable. Returns false when either run failed conservation.
 bool RunTunedComparison(WorkloadCase wc, std::uint32_t shards,
                         std::string* csv) {
@@ -310,8 +285,7 @@ bool RunTunedComparison(WorkloadCase wc, std::uint32_t shards,
 
   rt::RuntimeConfig tuned;  // today's committed defaults + placement
   tuned.num_shards = shards;
-  tuned.placement.pin_threads = true;
-  tuned.placement.first_touch = true;
+  tuned.placement.pin_workers = true;
 
   std::printf("-- tuned defaults vs pre-PR defaults: %u shards, synthetic "
               "workload, static engine --\n", shards);
@@ -415,7 +389,7 @@ int main(int argc, char** argv) {
              RunSweep(sweep_case(flash_events, true), sweep), &csv);
   std::printf("\n");
 
-  RunFabricComparison(sweep_case({}, false), /*shards=*/4, &csv);
+  RunDrainComparison(sweep_case({}, false), /*shards=*/4, &csv);
   std::printf("\n");
 
   const bool conserved =

@@ -46,7 +46,7 @@ struct BenchArgs {
   std::vector<std::uint32_t> shards;
   std::uint32_t queue_depth = 0;   // --queue-depth=N
   std::uint32_t batch_size = 0;    // --batch-size=N
-  bool pin = false;                // --pin: pin_threads + first_touch
+  bool pin = false;                // --pin: placement.pin_workers
   std::string drain;               // --drain=epoch|eager
   // --tune: run exactly one configuration (the first --shards entry) and
   // print one machine-readable "TUNE,..." line — the contract

@@ -53,22 +53,14 @@ std::uint32_t AutoScaler::Observe(std::uint64_t epoch_index,
     return 0;
   }
 
-  // Split triggers, hottest-first: raw load, then imbalance (which needs a
-  // non-empty epoch and peers to be imbalanced against), then queue
-  // pressure, then the SLO breach — the latency objective backstops the
-  // load proxies when they are mis-tuned for the workload. Doubling matches
-  // hash sharding's halving of per-shard load.
+  // Split triggers: raw load first, then the SLO breach — the latency
+  // objective backstops the load threshold when it is mis-tuned for the
+  // workload. Doubling matches hash sharding's halving of per-shard load.
   if (num_shards < config_.max_shards && obs.total_ops > 0) {
     const char* reason = nullptr;
     if (config_.split_shard_ops != 0 &&
         obs.max_shard_ops >= config_.split_shard_ops) {
       reason = "split-load";
-    } else if (config_.split_imbalance != 0.0 && num_shards > 1 &&
-               obs.imbalance >= config_.split_imbalance) {
-      reason = "split-imbalance";
-    } else if (config_.split_queue_backlog != 0.0 &&
-               obs.max_queue_backlog >= config_.split_queue_backlog) {
-      reason = "split-queue";
     } else if (config_.target_p99_micros != 0 && e2e.samples > 0 &&
                e2e.p99_us > target_us) {
       reason = "split-slo";
@@ -97,7 +89,7 @@ std::uint32_t AutoScaler::Observe(std::uint64_t epoch_index,
       obs.max_shard_ops < config_.merge_shard_ops) {
     const bool slo_permits =
         config_.target_p99_micros == 0 || e2e.samples == 0 ||
-        e2e.p99_us <= (1.0 - config_.slo_dead_band) * target_us;
+        e2e.p99_us <= (1.0 - AutoScalerConfig::kSloDeadBand) * target_us;
     if (!slo_permits) {
       cold_streak_ = 0;
       obs.reason = "slo-merge-veto";

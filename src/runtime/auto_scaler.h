@@ -3,8 +3,8 @@
 // traffic, and this is the control loop that drives the mechanism.
 // ShardedRuntime::Reconfigure gives epoch-boundary split/merge; the
 // AutoScaler decides *when* — at every boundary it consumes the per-epoch
-// ShardStats deltas (owned-request load, imbalance, task-queue backlog) and
-// requests a split when any shard runs hot or a merge when every shard runs
+// ShardStats deltas (owned-request load) and end-to-end p99 and requests a
+// split when any shard runs hot or a merge when every shard runs
 // persistently cold, with hysteresis (cooldown boundaries, a consecutive-
 // cold-epochs requirement, and a validated dead band between the split and
 // merge thresholds) so the loop cannot thrash. Thresholds and bounds live
@@ -52,7 +52,6 @@ struct ScalerObservation {
   double slo_target_us = 0;        // config target (µs); 0 = SLO policy off
   std::uint32_t decision = 0;      // requested shard count; 0 = hold
   const char* reason = "";         // "", "cooldown", "split-load",
-                                   // "split-imbalance", "split-queue",
                                    // "split-slo", "merge-cold",
                                    // "slo-merge-veto"
   // Hysteresis state *after* this boundary's bookkeeping: boundaries still
@@ -80,10 +79,10 @@ class AutoScaler {
   //
   // `e2e` is the epoch's end-to-end latency delta (the completion join's
   // per-epoch histogram, see sharded_runtime.h). With
-  // config.target_p99_micros != 0 it drives the SLO policy: a fourth split
+  // config.target_p99_micros != 0 it drives the SLO policy: a second split
   // trigger ("split-slo") when the p99 breaches the target, and a merge
   // veto ("slo-merge-veto") while the p99 sits above
-  // (1 - slo_dead_band) * target. Defaulted so load-only callers and unit
+  // (1 - kSloDeadBand) * target. Defaulted so load-only callers and unit
   // tests need not fabricate latency evidence.
   std::uint32_t Observe(std::uint64_t epoch_index, std::uint32_t num_shards,
                         std::span<const ShardStats> deltas,

@@ -1,16 +1,10 @@
-// The runtime's communication plane, extracted from ShardedRuntime so the
-// transport is pluggable: one logical single-producer/single-consumer
-// channel per (source shard, destination shard) pair carrying flat-encoded
-// batches of remote work.
-//
-// Two transports implement the interface:
-//   - kSpsc (fabric_spsc.cc): one lock-free SpscRing per channel. The epoch
-//     protocol bounds occupancy (every channel is fully drained at each
-//     epoch boundary while producers are quiescent), so rings are statically
-//     sized from RuntimeConfig::queue_depth.
-//   - kMutex (fabric_mutex.cc): the original mutex-guarded queue path, kept
-//     as a selectable fallback and as the bit-for-bit reference the lock-free
-//     transport is tested against.
+// The runtime's communication plane, extracted from ShardedRuntime: one
+// single-producer/single-consumer channel per (source shard, destination
+// shard) pair carrying flat-encoded batches of remote work. Each channel is
+// a lock-free SpscRing (spsc_ring.h). The epoch protocol bounds occupancy
+// (every channel is fully drained at each epoch boundary while producers
+// are quiescent), so rings are statically sized from
+// RuntimeConfig::queue_depth.
 //
 // All operations are non-blocking; a full channel returns false from
 // TrySend and the caller keeps (and keeps coalescing into) the batch.
@@ -33,6 +27,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "runtime/spsc_ring.h"
 
 namespace dynasore::rt {
 
@@ -43,7 +38,7 @@ namespace dynasore::rt {
 struct FlatOp {
   // flags bit: this write op is a replication record for a designated
   // backup (rt::Replicator) — the receiver counts it toward repl_applies on
-  // top of the normal apply. Transports never inspect flags.
+  // top of the normal apply. The fabric never inspects flags.
   static constexpr std::uint8_t kReplicated = 1u << 0;
 
   std::uint64_t seq = 0;          // global dispatch order
@@ -57,78 +52,87 @@ struct FlatOp {
 };
 
 // A batch of remote ops from one source shard, ops in ascending seq order.
-// Senders never ship empty batches, so ops.front() is always the batch's
-// oldest op.
+// Senders never ship empty batches.
 struct WireBatch {
   std::vector<FlatOp> ops;
   std::vector<ViewId> targets;
 };
 
-enum class FabricTransport : std::uint8_t { kMutex, kSpsc };
-
+// The communication plane: one lock-free SpscRing per (source, destination)
+// pair, stored row-major by source.
 class Fabric {
  public:
-  virtual ~Fabric() = default;
+  // Builds `num_shards` x `num_shards` channels that each hold at least
+  // `min_channel_capacity` batches (rounded up to a power of two).
+  Fabric(std::uint32_t num_shards, std::uint32_t min_channel_capacity)
+      : num_shards_(num_shards) {
+    const std::size_t channels =
+        static_cast<std::size_t>(num_shards) * num_shards;
+    rings_.reserve(channels);
+    for (std::size_t i = 0; i < channels; ++i) {
+      rings_.push_back(
+          std::make_unique<SpscRing<WireBatch>>(min_channel_capacity));
+    }
+  }
 
   // Producer side: only shard `src` may send on (src, *) channels. Moves
   // from `batch` and returns true on success; leaves `batch` untouched and
   // returns false when the channel is full.
-  virtual bool TrySend(std::uint32_t src, std::uint32_t dst,
-                       WireBatch& batch) = 0;
+  bool TrySend(std::uint32_t src, std::uint32_t dst, WireBatch& batch) {
+    return at(src, dst).TryPush(batch);
+  }
 
   // Producer side, batched: moves as many leading elements of `batches` as
-  // currently fit onto the channel under one synchronized publish (one
-  // release fence on the SPSC transport, one lock acquisition on the mutex
-  // transport) and returns the number sent. The unsent suffix is left
-  // intact for retry.
-  virtual std::size_t TrySendBatch(std::uint32_t src, std::uint32_t dst,
-                                   std::span<WireBatch> batches) = 0;
+  // currently fit onto the channel under one release store and returns the
+  // number sent. The unsent suffix is left intact for retry.
+  std::size_t TrySendBatch(std::uint32_t src, std::uint32_t dst,
+                           std::span<WireBatch> batches) {
+    return at(src, dst).TryPushBatch(batches);
+  }
 
   // Consumer side: only shard `dst` may receive on (*, dst) channels.
-  virtual std::optional<WireBatch> TryRecv(std::uint32_t src,
-                                           std::uint32_t dst) = 0;
+  std::optional<WireBatch> TryRecv(std::uint32_t src, std::uint32_t dst) {
+    return at(src, dst).TryPop();
+  }
 
   // Consumer side, batched: appends up to `max` queued batches to `out`
-  // under one synchronized claim (one acquire/release pair on the SPSC
-  // transport, one lock acquisition on the mutex transport) and returns the
-  // number drained. The runtime's epoch-boundary drain empties a whole
-  // channel with a single call instead of one TryRecv per batch.
-  virtual std::size_t DrainChannel(std::uint32_t src, std::uint32_t dst,
-                                   std::vector<WireBatch>& out,
-                                   std::size_t max) = 0;
-
-  // Consumer side: dispatch stamp of the oldest undelivered op on the
-  // channel, or 0 when it is empty. Gates the eager drain's staleness test
-  // without popping still-fresh batches.
-  virtual std::uint64_t OldestDispatchNs(std::uint32_t src,
-                                         std::uint32_t dst) = 0;
+  // under one acquire/release pair and returns the number drained. The
+  // runtime's drains empty a whole channel with a single call.
+  std::size_t DrainChannel(std::uint32_t src, std::uint32_t dst,
+                           std::vector<WireBatch>& out, std::size_t max) {
+    return at(src, dst).ConsumeInto(out, max);
+  }
 
   // Consumer side: batches currently queued on the channel — telemetry's
   // ring-depth probe. The producer may be mid-push, so the value is a lower
   // bound at the instant of the call; exact whenever the producer is
   // quiescent (epoch-boundary drains, where the runtime samples it).
-  virtual std::uint32_t Depth(std::uint32_t src, std::uint32_t dst) = 0;
+  std::uint32_t Depth(std::uint32_t src, std::uint32_t dst) {
+    return static_cast<std::uint32_t>(at(src, dst).Size());
+  }
 
-  // Consumer side: touches the consumer-facing storage of every (*, dst)
-  // channel from the calling thread so the pages fault (and, under
-  // first-touch NUMA policies, land) on the destination worker's node.
-  // Only safe while every channel into dst is empty and all producers are
-  // quiescent — the runtime's placement phase. Default no-op: the mutex
-  // transport's deques allocate lazily on push, so there is nothing to
-  // touch up front.
-  virtual void PrefaultInbound(std::uint32_t dst) { (void)dst; }
+  // Consumer side: touches every slot of every (*, dst) channel from the
+  // calling thread so the pages fault (and, under first-touch NUMA
+  // policies, land) on the destination worker's node. Only safe while every
+  // channel into dst is empty and all producers are quiescent — the
+  // runtime's placement phase.
+  void PrefaultInbound(std::uint32_t dst) {
+    for (std::uint32_t src = 0; src < num_shards_; ++src) {
+      at(src, dst).Prefault();
+    }
+  }
 
   // The shard count this fabric was built for — immutable for the fabric's
   // lifetime (see the reconfiguration note above).
-  virtual std::uint32_t num_shards() const = 0;
+  std::uint32_t num_shards() const { return num_shards_; }
 
-  virtual const char* name() const = 0;
+ private:
+  SpscRing<WireBatch>& at(std::uint32_t src, std::uint32_t dst) {
+    return *rings_[static_cast<std::size_t>(src) * num_shards_ + dst];
+  }
+
+  const std::uint32_t num_shards_;
+  std::vector<std::unique_ptr<SpscRing<WireBatch>>> rings_;
 };
-
-// Builds a fabric for `num_shards` shards whose channels hold at least
-// `min_channel_capacity` batches each.
-std::unique_ptr<Fabric> MakeFabric(FabricTransport transport,
-                                   std::uint32_t num_shards,
-                                   std::uint32_t min_channel_capacity);
 
 }  // namespace dynasore::rt

@@ -7,35 +7,31 @@
 // live shard count at epoch boundaries without a new config.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
-
-#include "common/types.h"
-#include "runtime/fabric.h"
-#include "runtime/shard_map.h"
 
 namespace dynasore::rt {
 
 // When cross-shard work is applied on its destination shard.
 enum class DrainPolicy : std::uint8_t {
   // Deterministic: channels drain only at epoch boundaries, in global
-  // sequence order. Results are byte-identical across runs, shard counts,
-  // transports, and the inline fallback.
+  // sequence order. Results are byte-identical across runs and with the
+  // inline fallback.
   kEpoch,
-  // Opportunistic: workers additionally poll their inbound channels between
-  // request batches and serve remote slices whose age exceeds
-  // staleness_micros, trading strict determinism for sub-epoch read
-  // freshness and lower completion latency. Conservation (every request and
-  // every slice executed exactly once) still holds.
+  // Opportunistic: after every request batch a worker ships its staged
+  // remote work and serves whatever its inbound channels hold, trading
+  // strict determinism for sub-epoch read freshness and lower completion
+  // latency. Conservation (every request and every slice executed exactly
+  // once) still holds.
   kEager,
 };
 
 // Closed-loop reconfiguration policy (rt::AutoScaler): at every epoch
 // boundary the runtime feeds the scaler the per-epoch ShardStats deltas and
-// it decides whether to split (double, clamped to max_shards), merge (halve,
-// clamped to min_shards), or hold. All thresholds are *per-epoch* values —
-// the scaler only ever sees one epoch's delta, never cumulative counters.
+// end-to-end p99, and it decides whether to split (double, clamped to
+// max_shards), merge (halve, clamped to min_shards), or hold. All
+// thresholds are *per-epoch* values — the scaler only ever sees one epoch's
+// delta, never cumulative counters.
 //
 // Hysteresis, so the loop cannot thrash: (1) after any decision the scaler
 // holds for cooldown_epochs boundaries, (2) a merge additionally requires
@@ -64,17 +60,6 @@ struct AutoScalerConfig {
   // in one epoch. 0 disables the load trigger. Valid range: any.
   std::uint64_t split_shard_ops = 0;
 
-  // Split when the per-epoch imbalance — hottest shard's owned requests
-  // divided by the per-shard mean — reaches this ratio (needs >= 2 shards
-  // and a non-empty epoch). 0 disables. Valid range: 0 or >= 1.0.
-  double split_imbalance = 0.0;
-
-  // Split when any shard's mean task-queue backlog (batches already queued
-  // ahead of each batch the dispatcher pushes, ShardStats::
-  // queue_backlog_sum / task_batches) reaches this depth — the dispatcher
-  // is outrunning the shard. 0 disables. Valid range: >= 0, not NaN.
-  double split_queue_backlog = 0.0;
-
   // Merge (halve) after merge_cold_epochs consecutive epochs in which
   // *every* shard stayed below merge_shard_ops owned requests.
   // merge_shard_ops 0 disables merging; merge_cold_epochs valid range:
@@ -85,18 +70,17 @@ struct AutoScalerConfig {
   // SLO policy: target for the *end-to-end* per-epoch p99 (the completion
   // join's latency — max over a request's slices — in microseconds). When
   // non-zero, the scaler additionally splits on any epoch whose end-to-end
-  // p99 exceeds the target ("split-slo", after the load/imbalance/backlog
-  // triggers), and vetoes ops-cold merges while the p99 sits above
-  // (1 - slo_dead_band) * target — halving the shard count roughly doubles
+  // p99 exceeds the target ("split-slo", after the load trigger), and
+  // vetoes ops-cold merges while the p99 sits above
+  // (1 - kSloDeadBand) * target — halving the shard count roughly doubles
   // per-shard load, so merging from just under the target would immediately
   // breach it. 0 disables the policy. Valid range: any.
   std::uint64_t target_p99_micros = 0;
 
   // Fraction below the target the end-to-end p99 must sit before the SLO
   // policy permits a merge (the latency analogue of the load dead band
-  // above). Only meaningful with target_p99_micros != 0. Valid range:
-  // [0, 1), not NaN.
-  double slo_dead_band = 0.25;
+  // above).
+  static constexpr double kSloDeadBand = 0.25;
 
   // Checks the ranges above plus the split/merge dead band; throws
   // std::invalid_argument naming the offending field. Called by
@@ -112,19 +96,6 @@ struct AutoScalerConfig {
           "AutoScalerConfig::max_shards must be >= min_shards (the scaler "
           "moves within [min_shards, max_shards])");
     }
-    if (std::isnan(split_imbalance) ||
-        (split_imbalance != 0.0 && split_imbalance < 1.0)) {
-      throw std::invalid_argument(
-          "AutoScalerConfig::split_imbalance must be 0 (disabled) or >= 1.0 "
-          "(hottest/mean ratio; values below 1 would fire on every epoch, "
-          "and NaN would silently never fire)");
-    }
-    if (std::isnan(split_queue_backlog) || split_queue_backlog < 0.0) {
-      throw std::invalid_argument(
-          "AutoScalerConfig::split_queue_backlog must be a number >= 0 "
-          "(mean batches queued ahead of each dispatched batch; NaN would "
-          "silently never fire)");
-    }
     if (merge_cold_epochs == 0) {
       throw std::invalid_argument(
           "AutoScalerConfig::merge_cold_epochs must be at least 1 (a merge "
@@ -137,14 +108,6 @@ struct AutoScalerConfig {
           "halving the shard count doubles per-shard load, so a narrower "
           "dead band lets a merge land straight back on the split threshold "
           "(thrash)");
-    }
-    if (std::isnan(slo_dead_band) || slo_dead_band < 0.0 ||
-        slo_dead_band >= 1.0) {
-      throw std::invalid_argument(
-          "AutoScalerConfig::slo_dead_band must be in [0, 1) (the fraction "
-          "below target_p99_micros the end-to-end p99 must reach before a "
-          "merge is permitted; 1 or more would veto merges forever, and NaN "
-          "would silently never veto)");
     }
   }
 };
@@ -162,70 +125,29 @@ struct TelemetryConfig {
   // Trace ring capacity per track (one track per shard plus the
   // dispatcher), in events. The ring overwrites its oldest events and the
   // snapshot reports how many were dropped; per-track sequence numbers stay
-  // monotone across drops. Valid range: >= 1 when enabled (see Validate).
-  std::uint32_t event_capacity = 16384;
-
-  // Checks the ranges above; throws std::invalid_argument naming the
-  // offending field. Called by RuntimeConfig::Validate.
-  void Validate() const {
-    if (enabled && event_capacity == 0) {
-      throw std::invalid_argument(
-          "TelemetryConfig::event_capacity must be at least 1 when telemetry "
-          "is enabled (a zero-capacity trace ring cannot hold any event)");
-    }
-  }
+  // monotone across drops.
+  static constexpr std::uint32_t kEventCapacity = 16384;
 };
 
 // CPU/NUMA-aware worker placement. Off by default: the OS scheduler places
-// worker threads freely, exactly as before this config existed. When
-// enabled, each spawned worker pins itself to a CPU and (optionally)
-// first-touches its hot memory from that CPU before the first request is
-// dispatched, so pages land on the pinned core's NUMA node. Placement is
-// strictly best-effort: on machines/containers where affinity calls fail
-// or the CPU set is smaller than the shard count, the runtime records the
-// failure in telemetry (a kPlacement trace event per worker) and carries on
-// unpinned — results are bit-identical with placement on or off under
-// kEpoch, so the fallback is always safe.
+// worker threads freely. Placement is strictly best-effort: on machines or
+// containers where affinity calls fail or the CPU set is smaller than the
+// shard count, the runtime records the failure in telemetry (a kPlacement
+// trace event per worker) and carries on unpinned — results are
+// bit-identical with placement on or off under kEpoch, so the fallback is
+// always safe.
 struct PlacementConfig {
-  // Pin worker s to CPU (cpu_offset + s * cpu_stride) % num_cpus via
-  // pthread_setaffinity_np on the worker thread itself, before it executes
-  // any task. The inline fallback (spawn_threads = false) ignores pinning —
-  // there are no worker threads to pin.
-  bool pin_threads = false;
-
-  // First CPU of the placement pattern. Valid range: any (wrapped by
-  // num_cpus at use).
-  std::uint32_t cpu_offset = 0;
-
-  // CPU distance between consecutive shards — 1 packs shards onto adjacent
-  // CPUs, 2 skips SMT siblings on hyperthreaded layouts. Valid range: >= 1
-  // (see Validate; a stride of 0 would pin every worker to the same CPU).
-  std::uint32_t cpu_stride = 1;
-
-  // After pinning, each worker touches the consumer side of its inbound
-  // fabric channels and pre-faults its drain/scratch buffers from the
-  // pinned CPU, and — on the first run only, while the engines are still
-  // pristine (no requests executed, no reconfiguration, no imported state)
-  // — rebuilds its shard's engine on the worker thread so the store pages
-  // are first-touched on the owning worker's NUMA node. Engine construction
-  // is deterministic from the runtime's immutable inputs, so the rebuilt
-  // engine is identical to the one built at construction. Only meaningful
-  // with spawn_threads; requires pin_threads to matter for locality but is
-  // honored independently.
-  bool first_touch = false;
-
-  // Whether any placement work happens at worker start.
-  bool Active() const { return pin_threads || first_touch; }
-
-  // Checks the ranges above; throws std::invalid_argument naming the
-  // offending field. Called by RuntimeConfig::Validate.
-  void Validate() const {
-    if ((pin_threads || first_touch) && cpu_stride == 0) {
-      throw std::invalid_argument(
-          "PlacementConfig::cpu_stride must be at least 1 when placement is "
-          "enabled (stride 0 would pin every worker to the same CPU)");
-    }
-  }
+  // Before it executes any task, worker s pins itself to CPU s % num_cpus
+  // (pthread_setaffinity_np on the worker thread itself) and first-touches
+  // its hot memory from that CPU, so pages land on the pinned core's NUMA
+  // node: it touches the consumer side of its inbound fabric channels and,
+  // on the first run only, while the engines are still pristine (no
+  // requests executed, no reconfiguration, no imported state), rebuilds
+  // its shard's engine on the worker thread. Engine construction is
+  // deterministic from the runtime's immutable inputs, so the rebuilt
+  // engine is identical to the one built at construction. The inline
+  // fallback (spawn_threads = false) has no worker threads to place.
+  bool pin_workers = false;
 };
 
 // When a replicated write is considered durable on its backups.
@@ -311,9 +233,6 @@ struct RuntimeConfig {
   // count at epoch boundaries.
   std::uint32_t num_shards = 1;
 
-  // How the user/view id space maps onto shards.
-  ShardingMode sharding = ShardingMode::kHash;
-
   // Task batches that may be in flight per shard queue before the
   // dispatcher blocks (backpressure bound, in batches not requests). Also
   // sizes the fabric's per-channel capacity: the epoch protocol fully
@@ -329,56 +248,10 @@ struct RuntimeConfig {
   // (see results/tune_runtime.csv).
   std::uint32_t batch_size = 256;
 
-  // Epoch length in simulated seconds: cross-shard channels are fully
-  // drained and engine ticks fire at epoch boundaries. Must divide the
-  // engine's slot_seconds so tick times land on boundaries; 0 means "one
-  // epoch per engine slot". Values that do not divide slot_seconds are
-  // rounded down to the nearest divisor; a value that rounds down to 0
-  // (only possible when the engine's slot_seconds is 0) is rejected by
-  // ShardedRuntime's constructor, which knows the engine slot — Validate()
-  // cannot check it here.
-  SimTime epoch_seconds = 0;
-
-  // Cross-shard transport: lock-free SPSC rings (the default) or the
-  // original mutex-guarded queues. Under DrainPolicy::kEpoch both produce
-  // bit-for-bit identical results.
-  FabricTransport transport = FabricTransport::kSpsc;
-
-  // See DrainPolicy.
+  // See DrainPolicy. Either way an epoch is one engine slot
+  // (EngineConfig::slot_seconds): cross-shard channels are fully drained
+  // and engine ticks fire at epoch boundaries.
   DrainPolicy drain = DrainPolicy::kEpoch;
-
-  // kEager only: minimum wall-clock age (microseconds) of a channel's
-  // oldest pending op before a mid-epoch poll serves it. 0 serves remote
-  // slices as soon as a poll observes them; a large bound degenerates to
-  // kEpoch behavior (everything waits for the boundary drain). Valid range:
-  // [0, kMaxStalenessMicros] — the bound is compared in nanoseconds, so
-  // anything larger would overflow the ns clock domain. Validate() rejects
-  // out-of-range values up front instead of silently clamping at use.
-  std::uint64_t staleness_micros = 0;
-  static constexpr std::uint64_t kMaxStalenessMicros =
-      ~std::uint64_t{0} / 1000;  // largest µs value representable in ns
-
-  // kEager only: close the loop over staleness_micros. When set, the
-  // dispatcher watches each epoch's remote-slice freshness percentiles (the
-  // per-epoch delta of the remote-latency histogram) at the boundary
-  // quiescent point and retunes the live staleness bound the eager polls
-  // read: halve it when the epoch's freshness p99 exceeds
-  // staleness_target_p99_micros (serve remote slices sooner), double it
-  // when the p99 sits below half the target (freshness to spare — batch
-  // more, poll less), hold inside the dead zone between them. The live
-  // bound moves in [0, kMaxTunedStalenessMicros]; staleness_micros is only
-  // its starting point. Requires drain == kEager and a non-zero target
-  // (see Validate).
-  bool tune_staleness = false;
-
-  // Target for the per-epoch remote-slice freshness p99, in microseconds.
-  // Valid range: >= 1 when tune_staleness is set (a 0-µs freshness target
-  // is unreachable — every remote slice takes non-zero time to arrive).
-  std::uint64_t staleness_target_p99_micros = 0;
-
-  // Ceiling the tuner may double the live staleness bound up to (1 second
-  // — far beyond any useful freshness bound, just a runaway stop).
-  static constexpr std::uint64_t kMaxTunedStalenessMicros = 1'000'000;
 
   // View migration batch: how many views a reconfiguration's migration
   // window hands over per epoch boundary. 0 (the default) is the whole
@@ -436,31 +309,6 @@ struct RuntimeConfig {
           "RuntimeConfig::batch_size must be at least 1 (0 requests per task "
           "batch would never flush)");
     }
-    if (staleness_micros > kMaxStalenessMicros) {
-      throw std::invalid_argument(
-          "RuntimeConfig::staleness_micros must be <= kMaxStalenessMicros "
-          "(2^64/1000): the bound is compared in nanoseconds and larger "
-          "values overflow the clock domain");
-    }
-    if (tune_staleness && drain != DrainPolicy::kEager) {
-      throw std::invalid_argument(
-          "RuntimeConfig::tune_staleness requires drain == DrainPolicy::"
-          "kEager (the staleness bound only gates eager mid-epoch polls; "
-          "under kEpoch there is nothing to tune)");
-    }
-    if (tune_staleness && staleness_target_p99_micros == 0) {
-      throw std::invalid_argument(
-          "RuntimeConfig::staleness_target_p99_micros must be at least 1 "
-          "when tune_staleness is set (a 0-µs remote-freshness target is "
-          "unreachable, so the tuner would halve the bound forever)");
-    }
-    if (tune_staleness && staleness_micros > kMaxTunedStalenessMicros) {
-      throw std::invalid_argument(
-          "RuntimeConfig::staleness_micros must be <= "
-          "kMaxTunedStalenessMicros (1 second) when tune_staleness is set "
-          "(the tuner moves the live bound within that ceiling, so a larger "
-          "starting point could never be restored after one halving)");
-    }
     replication.Validate();
     if (replication.enabled && replication.factor >= num_shards) {
       throw std::invalid_argument(
@@ -470,8 +318,6 @@ struct RuntimeConfig {
           "itself as its own backup");
     }
     scaler.Validate();
-    telemetry.Validate();
-    placement.Validate();
   }
 };
 

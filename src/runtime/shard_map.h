@@ -1,14 +1,12 @@
-// Maps the user/view id space onto runtime shards. Hash sharding spreads
-// hot users evenly (the default); range sharding keeps contiguous id blocks
-// together, which preserves whatever locality the id assignment carries and
-// makes shard ownership trivially explainable.
+// Maps the user/view id space onto runtime shards by hash, which spreads
+// hot users evenly across shards.
 //
 // Ownership and thread-safety: a ShardMap is an immutable value after
 // construction — shard_of is const and safe to call from any thread
 // concurrently. Online reconfiguration never mutates a map; the runtime
 // builds a map for the new topology and swaps it in at an epoch boundary
 // (the only point where workers are quiescent), so any map a worker
-// observes is internally consistent. Copies are cheap (four scalar fields
+// observes is internally consistent. Copies are cheap (three scalar fields
 // plus one shared_ptr) — the maintenance-ownership predicates capture the
 // map by value for exactly this reason.
 //
@@ -41,8 +39,6 @@
 
 namespace dynasore::rt {
 
-enum class ShardingMode : std::uint8_t { kHash, kRange };
-
 class ShardMap {
  public:
   // (view id, old owning shard) for every view a migration window hands
@@ -51,14 +47,9 @@ class ShardMap {
   // maintenance predicates hold.
   using PendingLedger = std::vector<std::pair<UserId, std::uint32_t>>;
 
-  ShardMap(std::uint32_t num_shards, std::uint32_t num_users,
-           ShardingMode mode)
+  explicit ShardMap(std::uint32_t num_shards)
       : num_shards_(num_shards == 0 ? 1 : num_shards),
-        target_shards_(num_shards_),
-        mode_(mode),
-        block_((num_users + num_shards_ - 1) / num_shards_) {
-    if (block_ == 0) block_ = 1;
-  }
+        target_shards_(num_shards_) {}
 
   // A dual-ownership map for an in-flight incremental migration: routes
   // like `target` except for the ids in `pending` at index >= `migrated`,
@@ -81,9 +72,7 @@ class ShardMap {
 
   // Owner of user/view id `u`: always in [0, num_shards()). Deterministic
   // and stable for the lifetime of the map — shard assignment is part of
-  // the runtime's deterministic contract. Ids past the construction-time
-  // num_users still resolve (hash mode by construction; range mode clamps
-  // to the last shard).
+  // the runtime's deterministic contract. Every id resolves, however large.
   std::uint32_t shard_of(UserId u) const {
     if (pending_ != nullptr) {
       const auto begin =
@@ -94,10 +83,6 @@ class ShardMap {
             return entry.first < id;
           });
       if (it != pending_->end() && it->first == u) return it->second;
-    }
-    if (mode_ == ShardingMode::kRange) {
-      const std::uint32_t s = u / block_;
-      return s < target_shards_ ? s : target_shards_ - 1;
     }
     return static_cast<std::uint32_t>(Mix(u) % target_shards_);
   }
@@ -114,7 +99,6 @@ class ShardMap {
   std::uint64_t pending_views() const {
     return pending_ == nullptr ? 0 : pending_->size() - migrated_;
   }
-  ShardingMode mode() const { return mode_; }
 
  private:
   // splitmix64 finalizer: cheap, well-distributed, and stable across runs
@@ -128,8 +112,6 @@ class ShardMap {
 
   std::uint32_t num_shards_;
   std::uint32_t target_shards_;
-  ShardingMode mode_;
-  std::uint32_t block_;
   std::shared_ptr<const PendingLedger> pending_;
   std::size_t migrated_ = 0;
 };

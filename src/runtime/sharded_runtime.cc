@@ -28,15 +28,6 @@ std::uint64_t NowNs() {
           .count());
 }
 
-// Epoch boundaries must be a superset of tick times so ticks fire in the
-// same position relative to requests as in the sequential replay: round
-// the requested epoch down to a divisor of slot_seconds.
-SimTime RoundEpochToSlotDivisor(SimTime requested, SimTime slot) {
-  SimTime epoch = requested == 0 ? slot : std::min(requested, slot);
-  while (epoch > 0 && slot % epoch != 0) --epoch;
-  return epoch;
-}
-
 }  // namespace
 
 LatencyPercentiles SummarizeLatency(const common::LatencyHistogram& h) {
@@ -84,18 +75,15 @@ ShardedRuntime::ShardedRuntime(const graph::SocialGraph& g,
       initial_(initial),
       engine_config_(engine_config),
       config_(config),
-      map_(config.num_shards, g.num_users(), config.sharding) {
+      map_(config.num_shards) {
   config.Validate();
-  // The live staleness bound starts at the configured value; the online
-  // tuner (TuneStalenessAtBoundary) moves it at quiescent points.
-  staleness_ns_live_ = config_.staleness_micros * 1000;
-  epoch_ = RoundEpochToSlotDivisor(config.epoch_seconds,
-                                   engine_config.slot_seconds);
-  if (epoch_ == 0) {
+  // An epoch is one engine slot, so every tick lands on a boundary and
+  // fires in the same position relative to requests as in the sequential
+  // replay.
+  if (engine_config.slot_seconds == 0) {
     throw std::invalid_argument(
-        "RuntimeConfig::epoch_seconds rounds down to 0: the engine's "
-        "slot_seconds must be positive so epoch boundaries can align with "
-        "ticks");
+        "EngineConfig::slot_seconds must be positive: the runtime's epoch "
+        "is one engine slot, and a 0-second epoch never advances");
   }
 
   // Shard engines maintain only their owned partition (see
@@ -112,7 +100,7 @@ ShardedRuntime::ShardedRuntime(const graph::SocialGraph& g,
   // flight per shard, so queue_depth + 2 batches per channel lets every
   // epoch-boundary flush succeed without waiting; overflow between drains
   // simply keeps coalescing in the producer's outbox.
-  fabric_ = MakeFabric(config_.transport, n, config_.queue_depth + 2);
+  fabric_ = std::make_unique<Fabric>(n, config_.queue_depth + 2);
   shards_.reserve(n);
   for (std::uint32_t s = 0; s < n; ++s) {
     shards_.push_back(MakeShard(s));
@@ -127,7 +115,7 @@ ShardedRuntime::ShardedRuntime(const graph::SocialGraph& g,
     scaler_ = std::make_unique<AutoScaler>(config_.scaler);
   }
   if (config_.telemetry.enabled) {
-    telemetry_ = std::make_unique<Telemetry>(config_.telemetry, n);
+    telemetry_ = std::make_unique<Telemetry>(n);
     WireTelemetryTracks();
   }
 }
@@ -161,57 +149,48 @@ void ShardedRuntime::InstallMaintenanceOwners() {
 // blocked in WaitFor and every other worker is in its own kPlace task (or
 // parked), so map_/fabric_ are stable and no channel has an active producer.
 void ShardedRuntime::ApplyPlacement(Shard& shard, bool rebuild_engine) {
-  const PlacementConfig& pc = config_.placement;
-  std::uint64_t requested = ~std::uint64_t{0};
+  const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
+  const std::uint64_t requested = shard.id % ncpu;
   std::uint64_t achieved = ~std::uint64_t{0};
   bool pinned = false;
-  const char* outcome = "pinning disabled";
-  if (pc.pin_threads) {
-    const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-    requested = (pc.cpu_offset +
-                 static_cast<std::uint64_t>(shard.id) * pc.cpu_stride) %
-                ncpu;
 #if defined(__linux__)
-    // Self-pinning, so every later allocation/fault in this function (and
-    // in the worker's whole life) happens from the target CPU. Failure is
-    // the documented graceful no-op: record and continue unpinned.
-    cpu_set_t want;
-    CPU_ZERO(&want);
-    CPU_SET(static_cast<int>(requested), &want);
-    outcome = "setaffinity failed";
-    if (pthread_setaffinity_np(pthread_self(), sizeof(want), &want) == 0) {
-      cpu_set_t got;
-      CPU_ZERO(&got);
-      outcome = "readback failed";
-      if (pthread_getaffinity_np(pthread_self(), sizeof(got), &got) == 0 &&
-          CPU_ISSET(static_cast<int>(requested), &got)) {
-        pinned = true;
-        achieved = requested;
-        outcome = "pinned";
-      }
+  // Self-pinning, so every later allocation/fault in this function (and in
+  // the worker's whole life) happens from the target CPU. Failure is the
+  // documented graceful no-op: record and continue unpinned.
+  cpu_set_t want;
+  CPU_ZERO(&want);
+  CPU_SET(static_cast<int>(requested), &want);
+  const char* outcome = "setaffinity failed";
+  if (pthread_setaffinity_np(pthread_self(), sizeof(want), &want) == 0) {
+    cpu_set_t got;
+    CPU_ZERO(&got);
+    outcome = "readback failed";
+    if (pthread_getaffinity_np(pthread_self(), sizeof(got), &got) == 0 &&
+        CPU_ISSET(static_cast<int>(requested), &got)) {
+      pinned = true;
+      achieved = requested;
+      outcome = "pinned";
     }
+  }
 #else
-    outcome = "affinity unsupported";
+  const char* outcome = "affinity unsupported";
 #endif
-  }
 
-  if (pc.first_touch) {
-    if (rebuild_engine) {
-      // First run, pristine engines: reconstructing from the runtime's
-      // immutable inputs yields a bit-identical engine whose store pages
-      // are first-touched on this (now possibly pinned) worker instead of
-      // the dispatcher. Never done once any state was executed or imported.
-      auto fresh =
-          std::make_unique<core::Engine>(topo_, initial_, engine_config_);
-      if (persist_ != nullptr) fresh->AttachPersistentStore(persist_);
-      shard.engine = std::move(fresh);
-      InstallMaintenanceOwner(shard);
-    }
-    // Consumer side of every inbound channel: fault the slot pages from
-    // this worker. Scratch (drain_batches, drain_order, overlay buffers)
-    // needs no help — it grows lazily on the worker's first use.
-    fabric_->PrefaultInbound(shard.id);
+  if (rebuild_engine) {
+    // First run, pristine engines: reconstructing from the runtime's
+    // immutable inputs yields a bit-identical engine whose store pages are
+    // first-touched on this (now possibly pinned) worker instead of the
+    // dispatcher. Never done once any state was executed or imported.
+    auto fresh =
+        std::make_unique<core::Engine>(topo_, initial_, engine_config_);
+    if (persist_ != nullptr) fresh->AttachPersistentStore(persist_);
+    shard.engine = std::move(fresh);
+    InstallMaintenanceOwner(shard);
   }
+  // Consumer side of every inbound channel: fault the slot pages from this
+  // worker. Scratch (drain_batches, drain_order, overlay buffers) needs no
+  // help — it grows lazily on the worker's first use.
+  fabric_->PrefaultInbound(shard.id);
 
   if (shard.telem != nullptr) {
     TraceEvent e;
@@ -221,7 +200,7 @@ void ShardedRuntime::ApplyPlacement(Shard& shard, bool rebuild_engine) {
     e.u0 = requested;
     e.u1 = achieved;
     e.u2 = pinned ? 1 : 0;
-    e.u3 = pc.first_touch ? 1 : 0;
+    e.u3 = 1;  // first touch always rides placement
     e.label = outcome;
     shard.telem->Emit(e);
   }
@@ -229,7 +208,7 @@ void ShardedRuntime::ApplyPlacement(Shard& shard, bool rebuild_engine) {
 
 void ShardedRuntime::RunPlacementPhase(
     std::span<const std::uint32_t> shard_indices, bool rebuild_engines) {
-  if (!config_.placement.Active() || shard_indices.empty()) return;
+  if (!config_.placement.pin_workers || shard_indices.empty()) return;
   for (std::uint32_t s : shard_indices) {
     Task task;
     task.kind = Task::Kind::kPlace;
@@ -351,7 +330,7 @@ void ShardedRuntime::BeginReconfigure(std::uint32_t new_count,
   scaler_baseline_.clear();
 
   const std::uint64_t t0 = NowNs();
-  ShardMap target(new_count, graph_->num_users(), config_.sharding);
+  ShardMap target(new_count);
   auto ledger = std::make_shared<ShardMap::PendingLedger>();
   for (ViewId v = 0; v < graph_->num_users(); ++v) {
     const std::uint32_t a = map_.shard_of(v);
@@ -369,7 +348,7 @@ void ShardedRuntime::BeginReconfigure(std::uint32_t new_count,
   // which fails into an open, consistent window instead (see there).
   if (new_count > old_n) {
     auto new_fabric =
-        MakeFabric(config_.transport, new_count, config_.queue_depth + 2);
+        std::make_unique<Fabric>(new_count, config_.queue_depth + 2);
     // New engines seed their maintenance slot from a surviving engine
     // (ticks are broadcast, so all engines agree on the slot).
     const std::uint32_t slot = shards_.front()->engine->current_slot();
@@ -482,8 +461,7 @@ void ShardedRuntime::CompleteMigration() {
   // longer exist), and retirement comes last.
   std::unique_ptr<Fabric> new_fabric;
   if (new_count < w.from_shards) {
-    new_fabric =
-        MakeFabric(config_.transport, new_count, config_.queue_depth + 2);
+    new_fabric = std::make_unique<Fabric>(new_count, config_.queue_depth + 2);
   }
   map_ = w.target;
   replicate_writes_ = new_count > 1 && engine_config_.store.payload_mode;
@@ -603,45 +581,6 @@ void ShardedRuntime::JoinCompletionsAtBoundary() {
   // SLO policy: just the joins that completed at this boundary.
   e2e_epoch_delta_ = e2e_total_.DeltaSince(e2e_baseline_);
   e2e_baseline_ = e2e_total_;
-}
-
-void ShardedRuntime::TuneStalenessAtBoundary() {
-  if (!config_.tune_staleness) return;
-  // Merged remote-slice freshness across the runtime's lifetime: live
-  // shards plus retired accumulators. Monotone across resizes (RetireShard
-  // folds histograms into retired_) and kills (the Shard and its histograms
-  // survive; FoldEngineAggregates leaves them alone), so the delta against
-  // the previous boundary's snapshot is exactly this epoch's samples.
-  common::LatencyHistogram merged = retired_.remote_latency;
-  for (const auto& shard : shards_) merged.Merge(shard->remote_latency);
-  const common::LatencyHistogram delta =
-      merged.DeltaSince(tuner_remote_baseline_);
-  tuner_remote_baseline_ = std::move(merged);
-  if (delta.count() == 0) return;  // no remote slices: no evidence, hold
-  const double p99_us = static_cast<double>(delta.Percentile(0.99)) / 1000.0;
-  const double target_us =
-      static_cast<double>(config_.staleness_target_p99_micros);
-  const std::uint64_t before_ns = staleness_ns_live_;
-  if (p99_us > target_us) {
-    // Too stale: halve the bound so eager polls serve sooner. Below 1 µs
-    // the bound stops gating anything measurable — snap to 0 (serve
-    // immediately).
-    staleness_ns_live_ /= 2;
-    if (staleness_ns_live_ < 1000) staleness_ns_live_ = 0;
-  } else if (p99_us < target_us / 2.0) {
-    // Much fresher than required: double the bound (from 0, restart at
-    // 1 µs) to win back batching, capped so one run can never tune the
-    // bound past kMaxTunedStalenessMicros.
-    staleness_ns_live_ =
-        staleness_ns_live_ == 0 ? 1000 : staleness_ns_live_ * 2;
-    staleness_ns_live_ = std::min(
-        staleness_ns_live_, RuntimeConfig::kMaxTunedStalenessMicros * 1000);
-  }
-  // Inside the dead zone [target/2, target]: hold.
-  if (staleness_ns_live_ != before_ns) {
-    ++staleness_tunings_;
-    ++pending_staleness_tuned_;
-  }
 }
 
 void ShardedRuntime::ObserveEpochForScaler(std::uint64_t epoch_index) {
@@ -986,7 +925,7 @@ void ShardedRuntime::KillShardAtBoundary(std::uint32_t s, SimTime epoch_end) {
   RebuildWindow window;
   window.shard = s;
   std::vector<ViewId> own_views;
-  const ShardMap pure(n, graph_->num_users(), config_.sharding);
+  const ShardMap pure(n);
   for (ViewId v = 0; v < graph_->num_users(); ++v) {
     if (pure.shard_of(v) != s) continue;
     own_views.push_back(v);
@@ -1197,7 +1136,7 @@ void ShardedRuntime::ReinstallRouteOverrides() {
       }
     }
   }
-  const ShardMap pure(n, graph_->num_users(), config_.sharding);
+  const ShardMap pure(n);
   if (ledger->empty()) {
     map_ = pure;
   } else {
@@ -1219,7 +1158,7 @@ void ShardedRuntime::AbandonRebuilds() {
     if (!health_.IsUp(s)) health_.Set(s, ShardHealth::kUp);
   }
   if (map_.in_transition() && !migration_.has_value()) {
-    map_ = ShardMap(map_.num_shards(), graph_->num_users(), config_.sharding);
+    map_ = ShardMap(map_.num_shards());
     InstallMaintenanceOwners();
   }
 }
@@ -1280,16 +1219,14 @@ void ShardedRuntime::SampleTelemetryEpoch(std::uint64_t epoch_index,
       scalars.views_pending = migration_->ledger->size() - migration_->next;
     }
     // The completion join already ran at this boundary, so the e2e column
-    // has no sampling offset; the two SLO counters cover decisions since
-    // the *previous* sample — the scaler and tuner run after this call.
+    // has no sampling offset; the SLO counter covers decisions since the
+    // *previous* sample — the scaler runs after this call.
     if (e2e_epoch_delta_.count() > 0) {
       scalars.e2e_p99_us =
           static_cast<double>(e2e_epoch_delta_.Percentile(0.99)) / 1000.0;
     }
     scalars.slo_decisions = pending_slo_decisions_;
-    scalars.staleness_tuned = pending_staleness_tuned_;
     pending_slo_decisions_ = 0;
-    pending_staleness_tuned_ = 0;
     std::vector<ShardEpochSample> samples;
     samples.reserve(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -1513,7 +1450,7 @@ void ShardedRuntime::FlushForEpoch(Shard& shard) {
   TelemetryTrack* const telem = shard.telem;
   const std::uint64_t t0 = telem != nullptr ? NowNs() : 0;
   do {
-    EagerPoll(shard, /*ignore_staleness=*/true);
+    EagerPoll(shard, /*barrier_assist=*/true);
     std::this_thread::yield();
   } while (!TryFlushOutboxes(shard));
   if (telem != nullptr) telem->barrier_wait_ns += NowNs() - t0;
@@ -1606,55 +1543,32 @@ void ShardedRuntime::DrainEpoch(Shard& shard) {
   }
 }
 
-void ShardedRuntime::EagerPoll(Shard& shard, bool ignore_staleness) {
+void ShardedRuntime::EagerPoll(Shard& shard, bool barrier_assist) {
   auto& batches = shard.drain_batches;
   batches.clear();
-  // The live staleness bound: config_.staleness_micros converted at
-  // construction, then possibly moved by the online tuner. Written by the
-  // dispatcher only at quiescent points (every worker parked on its task
-  // queue) and read here after popping a task, so the queue mutex orders
-  // the access — same discipline as map_.
-  const std::uint64_t min_age_ns = staleness_ns_live_;
-  const std::uint64_t now = NowNs();
   std::size_t claims = 0;
   for (std::uint32_t src = 0; src < map_.num_shards(); ++src) {
     if (src == shard.id) continue;
-    if (ignore_staleness) {
-      // Barrier-assist poll: no staleness gate, so the whole channel can be
-      // claimed at once. The producer may still be mid-flush — anything it
-      // publishes after this claim is caught by the enclosing retry loop.
-      if (fabric_->DrainChannel(src, shard.id, batches,
-                                std::numeric_limits<std::size_t>::max()) !=
-          0) {
-        ++claims;
-      }
-      continue;
-    }
-    for (;;) {
-      // Serve only batches that have aged past the staleness bound; the
-      // rest wait for a later poll or the epoch-boundary drain. This gate
-      // re-checks per batch, which is why the staleness path pops one
-      // batch at a time.
-      const std::uint64_t oldest = fabric_->OldestDispatchNs(src, shard.id);
-      if (oldest == 0 || oldest > now || now - oldest < min_age_ns) break;
-      auto batch = fabric_->TryRecv(src, shard.id);
-      if (!batch) break;
-      batches.push_back(std::move(*batch));
+    // One claim takes the whole channel. The producer may still be
+    // publishing — whatever lands after this claim waits for the next poll
+    // (or the enclosing flush retry loop, or the boundary drain).
+    if (fabric_->DrainChannel(src, shard.id, batches,
+                              std::numeric_limits<std::size_t>::max()) != 0) {
+      ++claims;
     }
   }
   if (batches.empty()) return;
-  // Barrier-assist polls (ignore_staleness) run at the epoch boundary; only
-  // genuine staleness-gated mid-epoch serves count as eager drains — and
-  // only those accrue drain_ns and emit events (barrier-assist time belongs
-  // to the enclosing barrier_wait_ns region, which is already timing it).
+  // Barrier-assist polls run at the epoch boundary; only mid-epoch serves
+  // count as eager drains — and only those accrue drain_ns and emit events
+  // (barrier-assist time belongs to the enclosing barrier_wait_ns region,
+  // which is already timing it).
   TelemetryTrack* const telem = shard.telem;
-  const bool timed = telem != nullptr && !ignore_staleness;
+  const bool timed = telem != nullptr && !barrier_assist;
   const std::uint64_t t0 = timed ? NowNs() : 0;
-  if (!ignore_staleness) ++shard.stats.eager_drains;
+  if (!barrier_assist) ++shard.stats.eager_drains;
   const std::size_t batch_count = batches.size();
   const std::size_t ops = ServeBatches(shard);
-  if (telem != nullptr && claims != 0) {
-    // Barrier-assist batched claims: everything served here came from them.
+  if (telem != nullptr) {
     telem->drain_claims += claims;
     telem->drain_batch_ops += ops;
   }
@@ -1708,9 +1622,9 @@ void ShardedRuntime::ExecuteBatch(Shard& shard,
   }
   if (config_.drain == DrainPolicy::kEager) {
     // Ship staged remote work early and serve whatever inbound work has
-    // aged past the staleness bound — the sub-epoch freshness path.
+    // arrived — the sub-epoch freshness path.
     TryFlushOutboxes(shard);
-    EagerPoll(shard, /*ignore_staleness=*/false);
+    EagerPoll(shard, /*barrier_assist=*/false);
   }
 }
 
@@ -1739,7 +1653,7 @@ void ShardedRuntime::WorkerLoop(Shard& shard) {
         // the drain task arrives.
         while (!(task = shard.tasks.TryPop()).has_value()) {
           if (shard.tasks.closed()) break;
-          EagerPoll(shard, /*ignore_staleness=*/true);
+          EagerPoll(shard, /*barrier_assist=*/true);
           std::this_thread::yield();
         }
       } else {
@@ -1845,7 +1759,6 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
   // Refreshed after every applied reconfiguration.
   std::uint32_t n = map_.num_shards();
   const SimTime slot = engine_config_.slot_seconds;
-  const SimTime epoch = epoch_;
   const bool threaded = config_.spawn_threads;
 
   if (threaded) {
@@ -1862,8 +1775,7 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
       StartWorker(*shard);
       started.push_back(shard->id);
     }
-    RunPlacementPhase(started,
-                      engines_pristine_ && config_.placement.first_touch);
+    RunPlacementPhase(started, engines_pristine_);
   }
   engines_pristine_ = false;
 
@@ -1927,7 +1839,7 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
   ResetTelemetryBaselines();
   std::uint64_t epoch_start_ns = telemetry_ != nullptr ? NowNs() : 0;
 
-  for (SimTime epoch_end = epoch;; epoch_end += epoch) {
+  for (SimTime epoch_end = slot;; epoch_end += slot) {
     while (i < requests.size() && requests[i].time < epoch_end) {
       const std::uint32_t s = map_.shard_of(requests[i].user);
       staging[s].push_back(SeqRequest{seq, NowNs(), requests[i]});
@@ -1975,7 +1887,7 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
       for (auto& shard : shards_) pending |= !TryFlushOutboxes(*shard);
       while (pending) {
         for (auto& shard : shards_) {
-          EagerPoll(*shard, /*ignore_staleness=*/true);
+          EagerPoll(*shard, /*barrier_assist=*/true);
         }
         pending = false;
         for (auto& shard : shards_) pending |= !TryFlushOutboxes(*shard);
@@ -2024,7 +1936,6 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
     // migration window force-finished the window, which can retire shards;
     // re-derive the dispatch shape before anything below indexes by n.
     if (n != map_.num_shards()) reshape();
-    TuneStalenessAtBoundary();
     ObserveEpochForScaler(epoch_index);
     ++epoch_index;
     std::uint32_t pending = 0;
@@ -2134,8 +2045,6 @@ RuntimeResult ShardedRuntime::MergeResults(double wall_seconds) const {
   result.e2e_latency = e2e_total_;
   result.e2e_percentiles = SummarizeLatency(result.e2e_latency);
   result.slo_split_decisions = slo_split_decisions_;
-  result.staleness_tunings = staleness_tunings_;
-  result.staleness_micros_end = staleness_ns_live_ / 1000;
   if (wall_seconds > 0) {
     result.ops_per_sec =
         static_cast<double>(result.totals.requests) / wall_seconds;

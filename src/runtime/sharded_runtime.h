@@ -8,23 +8,23 @@
 // queue (batched to amortize the lock). A read whose target list crosses
 // shard boundaries executes its local slice immediately and ships the
 // remote slices — and replicated-write coherence updates — through the
-// rt::Fabric communication plane: one SPSC channel per (source,
-// destination) shard pair, lock-free rings by default with the mutex queue
-// path as a selectable fallback. The per-request hot path never touches
+// rt::Fabric communication plane: one lock-free SPSC ring per (source,
+// destination) shard pair. The per-request hot path never touches
 // shared state: counters, traffic, and latency histograms live in
 // per-shard accumulators merged on demand after the run.
 //
-// Drain policies (RuntimeConfig::drain):
+// An epoch is one engine slot (EngineConfig::slot_seconds), so every tick
+// falls on a boundary. Drain policies (RuntimeConfig::drain):
 //   kEpoch — channels drain only at epoch boundaries, sorted by global
 //   sequence number. Each shard's engine observes (a) its owned requests in
 //   global log order, (b) drained channel messages in seq order, and (c)
 //   ticks at epoch boundaries — none of which depend on thread
-//   interleaving, so runs are byte-identical across runs, transports, and
-//   the inline fallback, and the single-shard configuration reproduces the
-//   sequential engine's counters exactly.
-//   kEager — workers additionally poll inbound channels between request
-//   batches and serve remote slices older than the staleness bound,
-//   trading strict determinism for sub-epoch read freshness.
+//   interleaving, so runs are byte-identical across runs and the inline
+//   fallback, and the single-shard configuration reproduces the sequential
+//   engine's counters exactly.
+//   kEager — after every request batch a worker also ships its staged
+//   remote work and serves whatever its inbound channels hold, trading
+//   strict determinism for sub-epoch read freshness.
 //
 // Latency: every request is stamped at dispatch; the owning shard records
 // dispatch-to-local-completion into its LatencyHistogram, and every remote
@@ -124,8 +124,8 @@ struct ShardStats {
   std::uint64_t remote_write_applies = 0; // replicated writes applied
   std::uint64_t remote_slice_msgs = 0;    // round-trips serving peer slices
   std::uint64_t messages_sent = 0;        // RemoteOps posted to peers
-  // Staleness-gated mid-epoch polls that served work (kEager only; epoch-
-  // boundary barrier-assist polls are not counted).
+  // Mid-epoch polls that served work (kEager only; epoch-boundary
+  // barrier-assist polls are not counted).
   std::uint64_t eager_drains = 0;
   std::uint64_t epochs = 0;
   // Queue-pressure signal for the auto-scaler, sampled by the dispatcher
@@ -356,13 +356,9 @@ struct RuntimeResult {
   common::LatencyHistogram e2e_latency;
   LatencyPercentiles e2e_percentiles;  // over e2e_latency
 
-  // SLO control-plane lifetime totals: "split-slo" scaler decisions
-  // forwarded to Reconfigure, staleness-bound adjustments the online tuner
-  // made, and the tuned staleness bound in effect at run end (equals
-  // RuntimeConfig::staleness_micros when tune_staleness is off).
+  // SLO control-plane lifetime total: "split-slo" scaler decisions
+  // forwarded to Reconfigure.
   std::uint64_t slo_split_decisions = 0;
-  std::uint64_t staleness_tunings = 0;
-  std::uint64_t staleness_micros_end = 0;
 
   std::uint64_t expected_requests = 0;  // size of the replayed log
   double wall_seconds = 0;
@@ -380,8 +376,8 @@ class ShardedRuntime {
   // Copies the topology (shard engines keep pointers into it) and builds
   // one engine per shard from the same initial placement and config.
   // Throws std::invalid_argument for configurations that cannot run:
-  // num_shards, queue_depth or batch_size of 0, or an epoch that rounds
-  // down to 0 (engine slot_seconds of 0).
+  // num_shards, queue_depth or batch_size of 0, or an engine slot_seconds
+  // of 0 (the epoch is one slot).
   ShardedRuntime(const graph::SocialGraph& g, const net::Topology& topo,
                  const place::PlacementResult& initial,
                  const core::EngineConfig& engine_config,
@@ -486,8 +482,8 @@ class ShardedRuntime {
   const RuntimeConfig& config() const { return config_; }
   const Fabric& fabric() const { return *fabric_; }
   std::uint32_t num_shards() const { return map_.num_shards(); }
-  // Epoch length after rounding down to a divisor of the engine slot.
-  SimTime epoch_seconds() const { return epoch_; }
+  // Epoch length: the engine slot.
+  SimTime epoch_seconds() const { return engine_config_.slot_seconds; }
   // The closed-loop policy, or nullptr when RuntimeConfig::scaler.enabled
   // is false. Same (non-)thread-safety as the accessors above; its
   // observation history is stable between runs.
@@ -656,14 +652,14 @@ class ShardedRuntime {
   // (Re)installs each engine's maintenance-ownership predicate from map_.
   void InstallMaintenanceOwners();
   // Runs on the worker thread as its first task (Task::Kind::kPlace):
-  // pins the thread per PlacementConfig, optionally rebuilds the engine
-  // (first_touch on a pristine first run) and prefaults the consumer side
-  // of the shard's inbound channels, then records the achieved placement
-  // as a kPlacement trace event. Failures degrade to a recorded no-op.
+  // pins the thread per PlacementConfig, rebuilds the engine on a pristine
+  // first run and prefaults the consumer side of the shard's inbound
+  // channels, then records the achieved placement as a kPlacement trace
+  // event. A failed pin degrades to a recorded no-op.
   void ApplyPlacement(Shard& shard, bool rebuild_engine);
   // Dispatcher side: pushes a kPlace task to each shard in `shards` and
   // waits for all of them on the gate, so no producer can race a
-  // consumer-side prefault. No-op when placement is inactive.
+  // consumer-side prefault. No-op unless placement.pin_workers.
   void RunPlacementPhase(std::span<const std::uint32_t> shard_indices,
                          bool rebuild_engines);
   // Spawns the shard's worker thread (which then parks on its task queue)
@@ -812,12 +808,6 @@ class ShardedRuntime {
   // resolve when the batch matures (the run loop keeps driving boundaries
   // until delayed_ drains, so a completed run has no pending joins).
   void JoinCompletionsAtBoundary();
-  // Online staleness tuning (RuntimeConfig::tune_staleness, kEager only):
-  // compares the epoch's remote-slice freshness p99 against
-  // staleness_target_p99_micros and halves/doubles staleness_ns_live_
-  // toward it (hold inside the dead zone [target/2, target]). Dispatcher
-  // thread, quiescent point only.
-  void TuneStalenessAtBoundary();
 
   // Feeds the auto-scaler one epoch's per-shard deltas and forwards its
   // decision to Reconfigure; when telemetry is on, also emits the decision
@@ -855,7 +845,7 @@ class ShardedRuntime {
   void WorkerLoop(Shard& shard);
   // One request batch on its owning shard — the worker's kRequests task or
   // the inline dispatcher's flush: the compute span and kBatch event, then
-  // (kEager) the early outbox flush and staleness-gated poll.
+  // (kEager) the early outbox flush and mid-epoch poll.
   void ExecuteBatch(Shard& shard, std::span<const SeqRequest> requests);
   void ExecuteRequest(Shard& shard, const SeqRequest& sr);
   // Ships every non-empty outbox batch that fits its channel; returns false
@@ -869,9 +859,12 @@ class ShardedRuntime {
   void FlushForEpoch(Shard& shard);
   // Pops and applies every pending inbound batch, sorted by global seq.
   void DrainEpoch(Shard& shard);
-  // kEager: serves inbound batches whose oldest op exceeds the staleness
-  // bound (or everything, when ignore_staleness is set by FlushForEpoch).
-  void EagerPoll(Shard& shard, bool ignore_staleness);
+  // kEager: claims every inbound channel whole (DrainChannel) and serves
+  // what it got. A mid-epoch poll (barrier_assist false) counts as an
+  // eager drain and is timed as drain work; a barrier-assist poll (from a
+  // blocked epoch-end flush or the barrier wait) is neither — its time
+  // belongs to the enclosing barrier_wait_ns region.
+  void EagerPoll(Shard& shard, bool barrier_assist);
   // Applies a set of received batches in global sequence order; returns the
   // ops served (telemetry's drain-event payload).
   std::size_t ServeBatches(Shard& shard);
@@ -889,7 +882,6 @@ class ShardedRuntime {
   core::EngineConfig engine_config_;
   RuntimeConfig config_;
   ShardMap map_;
-  SimTime epoch_ = 0;  // validated divisor of the engine slot
   bool replicate_writes_ = false;
   const persist::PersistentStore* persist_ = nullptr;
   std::span<const wl::FlashEvent> flash_;  // valid during Run only
@@ -953,20 +945,10 @@ class ShardedRuntime {
   common::LatencyHistogram e2e_baseline_;
   common::LatencyHistogram e2e_epoch_delta_;
 
-  // Online staleness tuning (dispatcher-written at quiescent points; read
-  // by workers' eager polls — ordered through the task-queue mutexes like
-  // map_, so no atomics). Initialized from config_.staleness_micros.
-  std::uint64_t staleness_ns_live_ = 0;
-  // Baseline for the tuner's per-epoch remote-freshness delta: snapshot of
-  // the merged (live shards + retired_) remote latency histogram.
-  common::LatencyHistogram tuner_remote_baseline_;
-
-  // SLO control-plane counters: lifetime totals (RuntimeResult) and the
-  // since-last-sample pending counts telemetry drains at each boundary.
+  // SLO control-plane counters: the lifetime total (RuntimeResult) and the
+  // since-last-sample pending count telemetry drains at each boundary.
   std::uint64_t slo_split_decisions_ = 0;
-  std::uint64_t staleness_tunings_ = 0;
   std::uint64_t pending_slo_decisions_ = 0;
-  std::uint64_t pending_staleness_tuned_ = 0;
 
   // Observability layer (null unless telemetry.enabled — every hot-path
   // site branches on the per-shard track pointer instead). The baselines

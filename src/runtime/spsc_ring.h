@@ -1,5 +1,5 @@
 // Fixed-size lock-free single-producer/single-consumer ring buffer: the
-// per-(source, destination) channel underneath rt::SpscFabric.
+// per-(source, destination) channel underneath rt::Fabric.
 //
 // A Lamport queue with cached counterpart indices: the producer re-reads the
 // consumer's head (and vice versa) only when its cached copy says the ring
@@ -9,7 +9,7 @@
 // to a power of two so indexing is a mask, not a modulo.
 //
 // Thread-safety: exactly one producer thread may call TryPush/TryPushBatch
-// and exactly one consumer thread may call TryPop/ConsumeInto/Front. The
+// and exactly one consumer thread may call TryPop/ConsumeInto. The
 // epoch protocol's flush barrier (all producers quiesce before the drain)
 // makes "pop until empty" a stable observation for the consumer. capacity()
 // is safe from anywhere (immutable after construction); construction and
@@ -63,8 +63,8 @@ class SpscRing {
   // `items` as currently fit (possibly zero, possibly all) into the ring
   // and publishes them with ONE release store of tail_, instead of one per
   // element. Returns the number pushed; the unpushed suffix of `items` is
-  // left intact for retry. The consumer's matching acquire (TryPop,
-  // ConsumeInto, Front) observes either none or all of the batch's slots.
+  // left intact for retry. The consumer's matching acquire (TryPop or
+  // ConsumeInto) observes either none or all of the batch's slots.
   std::size_t TryPushBatch(std::span<T> items) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     std::size_t free = mask_ + 1 - (tail - head_cache_);
@@ -114,17 +114,6 @@ class SpscRing {
     }
     head_.store(head + n, std::memory_order_release);
     return n;
-  }
-
-  // Consumer only: the next item without popping it (nullptr when empty).
-  // Valid until the consumer's next TryPop.
-  const T* Front() {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return nullptr;
-    }
-    return &slots_[head & mask_];
   }
 
   // Consumer only: items currently queued. The memory orders are

@@ -41,7 +41,6 @@ const std::vector<MetricDef>& Schema() {
       {"views_rebuilt", MetricKind::kCounter, "views"},
       {"e2e_p99", MetricKind::kGauge, "us"},
       {"slo_decisions", MetricKind::kCounter, "decisions"},
-      {"staleness_tuned", MetricKind::kCounter, "adjustments"},
   };
   return kSchema;
 }
@@ -172,11 +171,10 @@ void AppendArgs(std::string& out, const TraceEvent& e) {
 
 }  // namespace
 
-Telemetry::Telemetry(const TelemetryConfig& config, std::uint32_t num_shards)
-    : config_(config), series_(Schema()) {
+Telemetry::Telemetry(std::uint32_t num_shards) : series_(Schema()) {
   tracks_.reserve(static_cast<std::size_t>(num_shards) + 1);
-  tracks_.push_back(
-      std::make_unique<TelemetryTrack>(0, config_.event_capacity));
+  tracks_.push_back(std::make_unique<TelemetryTrack>(
+      0, TelemetryConfig::kEventCapacity));
   for (std::uint32_t s = 0; s < num_shards; ++s) shard_track(s);
 }
 
@@ -184,7 +182,8 @@ TelemetryTrack* Telemetry::shard_track(std::uint32_t shard) {
   const std::size_t index = static_cast<std::size_t>(shard) + 1;
   while (tracks_.size() <= index) {
     tracks_.push_back(std::make_unique<TelemetryTrack>(
-        static_cast<std::uint32_t>(tracks_.size()), config_.event_capacity));
+        static_cast<std::uint32_t>(tracks_.size()),
+        TelemetryConfig::kEventCapacity));
   }
   return tracks_[index].get();
 }
@@ -228,7 +227,6 @@ void Telemetry::SampleEpoch(std::uint64_t epoch_index, SimTime epoch_end,
         static_cast<double>(s.delta.views_rebuilt),
         scalars.e2e_p99_us,
         first_row ? static_cast<double>(scalars.slo_decisions) : 0.0,
-        first_row ? static_cast<double>(scalars.staleness_tuned) : 0.0,
     };
     first_row = false;
     series_.Append(std::move(row));

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,7 @@ enum class TraceEventType : std::uint8_t {
   kEpoch,          // dispatcher: one span per epoch (dispatch + boundary)
   kBatch,          // worker: one request-batch execution span
   kDrain,          // worker: epoch-boundary channel drain + serve
-  kEagerDrain,     // worker: staleness-gated mid-epoch serve (kEager)
+  kEagerDrain,     // worker: mid-epoch serve after a batch (kEager)
   kBarrierWait,    // worker: parked between flush-arrive and the drain task
   kMaintenance,    // worker: engine ticks at the boundary
   kBeginReconfigure,   // dispatcher: migration window opened (first batch)
@@ -119,8 +120,16 @@ struct TraceEvent {
 // and resets them at quiescent points via Telemetry::SampleEpoch.
 class TelemetryTrack {
  public:
+  // Throws std::invalid_argument for a zero capacity: a ring that cannot
+  // hold any event has nowhere to store one.
   TelemetryTrack(std::uint32_t track_id, std::uint32_t capacity)
-      : track_id_(track_id), ring_(capacity) {}
+      : track_id_(track_id), ring_(capacity) {
+    if (capacity == 0) {
+      throw std::invalid_argument(
+          "TelemetryTrack capacity must be at least 1 (a zero-capacity "
+          "trace ring cannot hold any event)");
+    }
+  }
 
   // Stamps track and sequence number and stores the event, overwriting the
   // ring's oldest under pressure.
@@ -203,9 +212,10 @@ struct ShardEpochSample {
 
 class Telemetry {
  public:
-  // `config` must already be validated; `num_shards` is the initial shard
-  // count (tracks grow on demand as splits add shards).
-  Telemetry(const TelemetryConfig& config, std::uint32_t num_shards);
+  // `num_shards` is the initial shard count (tracks grow on demand as
+  // splits add shards); every track holds TelemetryConfig::kEventCapacity
+  // events.
+  explicit Telemetry(std::uint32_t num_shards);
 
   // Track accessors. shard_track grows the track table when a split adds
   // shard ids — call only at quiescent points (the runtime wires tracks
@@ -216,18 +226,17 @@ class Telemetry {
 
   // Dispatcher-scope scalars for one boundary (not per-shard). views_pending
   // and e2e_p99_us are levels repeated on every row of the epoch;
-  // slo_decisions and staleness_tuned are counters attributed to the
-  // *first* row only, so the columns still sum to run totals. The two
-  // counters cover decisions since the previous sample: the scaler and the
-  // staleness tuner run *after* sampling at each boundary, so a boundary's
-  // decision lands in the next epoch's rows and the final boundary's
-  // decision is never sampled (reconcile against AutoScaler::history or the
-  // RuntimeResult lifetime totals, not row counts).
+  // slo_decisions is a counter attributed to the *first* row only, so the
+  // column still sums to run totals. It covers decisions since the
+  // previous sample: the scaler runs *after* sampling at each boundary, so
+  // a boundary's decision lands in the next epoch's rows and the final
+  // boundary's decision is never sampled (reconcile against
+  // AutoScaler::history or the RuntimeResult lifetime total, not row
+  // counts).
   struct EpochScalars {
     std::uint64_t views_pending = 0;  // migration ledger remaining (gauge)
     double e2e_p99_us = 0;            // end-to-end p99 of this epoch's joins
     std::uint64_t slo_decisions = 0;  // split-slo decisions since last sample
-    std::uint64_t staleness_tuned = 0;  // tuner adjustments since last sample
   };
 
   // Appends one MetricSeries row per sample (dispatcher thread, quiescent
@@ -243,7 +252,6 @@ class Telemetry {
   const common::MetricSeries& series() const { return series_; }
 
  private:
-  TelemetryConfig config_;
   // Index 0 is the dispatcher; shard s lives at s + 1. Tracks are created
   // once per id and never destroyed (events survive reconfiguration).
   std::vector<std::unique_ptr<TelemetryTrack>> tracks_;

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 
 #include "runtime/sharded_runtime.h"
 #include "workload/request_log.h"
@@ -476,12 +477,16 @@ void Server::Loop() {
   while (!stop_requested_.load(std::memory_order_acquire)) {
     int timeout_ms = -1;
     if (!pending_.empty()) {
+      // Validate bounds the linger, so the deadline cannot wrap; a wait
+      // past INT_MAX ms (about 24 days) is clamped and simply re-armed.
       const std::uint64_t now = NowNs();
       const std::uint64_t deadline =
           first_pending_ns_ + config_.flush_interval_us * 1000;
       timeout_ms = now >= deadline
                        ? 0
-                       : static_cast<int>((deadline - now) / 1'000'000 + 1);
+                       : static_cast<int>(std::min<std::uint64_t>(
+                             (deadline - now) / 1'000'000 + 1,
+                             std::numeric_limits<int>::max()));
     }
     const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
     if (n < 0) {

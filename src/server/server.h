@@ -102,8 +102,15 @@ struct ServerConfig {
   // 0 (the default) means no linger: the batch executes at the end of the
   // epoll wake that admitted it. A positive linger is a wall-clock bound
   // that epoll's granularity rounds up to whole milliseconds. Valid range:
-  // any.
+  // [0, kMaxFlushIntervalUs] (see Validate).
   std::uint64_t flush_interval_us = 0;
+  // The largest linger whose nanosecond deadline — the first op's
+  // steady-clock admission stamp plus the linger — cannot wrap: the clock
+  // counts nanoseconds in a signed 64-bit value (below 2^63), so a linger
+  // of at most 2^63 ns keeps the sum within 64 unsigned bits. About 292
+  // years: a "never flush on time" linger fits easily.
+  static constexpr std::uint64_t kMaxFlushIntervalUs =
+      (std::uint64_t{1} << 63) / 1000;
   // Serving mode: admitted ops execute with time 0, one epoch per
   // micro-batch. false preserves request times for replay-mode
   // bit-identity (header comment).
@@ -136,6 +143,12 @@ struct ServerConfig {
       throw std::invalid_argument(
           "ServerConfig::flush_batch must be at least 1 (a 0-op batch "
           "would execute on every admission — use 1 to mean that)");
+    }
+    if (flush_interval_us > kMaxFlushIntervalUs) {
+      throw std::invalid_argument(
+          "ServerConfig::flush_interval_us must be <= kMaxFlushIntervalUs "
+          "(2^63 ns): a larger linger wraps the nanosecond flush deadline, "
+          "and the batch would execute at once instead of lingering");
     }
   }
 };

@@ -44,17 +44,6 @@ TEST(SpscRingTest, TryPushFailsWhenFullAndLeavesItemIntact) {
   EXPECT_TRUE(ring.TryPush(c));  // slot freed
 }
 
-TEST(SpscRingTest, FrontPeeksWithoutPopping) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.Front(), nullptr);
-  int v = 42;
-  ASSERT_TRUE(ring.TryPush(v));
-  ASSERT_NE(ring.Front(), nullptr);
-  EXPECT_EQ(*ring.Front(), 42);
-  EXPECT_EQ(ring.TryPop(), 42);  // Front did not consume
-  EXPECT_EQ(ring.Front(), nullptr);
-}
-
 TEST(SpscRingTest, WrapsAroundManyTimes) {
   SpscRing<std::uint64_t> ring(4);
   std::uint64_t next_push = 0;
@@ -272,7 +261,7 @@ TEST(SpscRingTest, ProducerConsumerDeliversEverythingInOrder) {
   EXPECT_FALSE(ring.TryPop().has_value());
 }
 
-// ----- Fabric (both transports through the same interface) -----
+// ----- Fabric -----
 
 WireBatch MakeBatch(std::uint64_t seq, std::uint64_t dispatch_ns,
                     std::vector<ViewId> targets) {
@@ -289,91 +278,85 @@ WireBatch MakeBatch(std::uint64_t seq, std::uint64_t dispatch_ns,
   return batch;
 }
 
-class FabricTest : public ::testing::TestWithParam<FabricTransport> {};
-
-INSTANTIATE_TEST_SUITE_P(Transports, FabricTest,
-                         ::testing::Values(FabricTransport::kMutex,
-                                           FabricTransport::kSpsc));
-
-TEST_P(FabricTest, RoundTripPreservesPayload) {
-  auto fabric = MakeFabric(GetParam(), 3, 4);
+TEST(FabricTest, RoundTripPreservesPayload) {
+  Fabric fabric(3, 4);
   WireBatch batch = MakeBatch(7, 1000, {10, 11, 12});
-  ASSERT_TRUE(fabric->TrySend(0, 2, batch));
-  auto received = fabric->TryRecv(0, 2);
+  ASSERT_TRUE(fabric.TrySend(0, 2, batch));
+  auto received = fabric.TryRecv(0, 2);
   ASSERT_TRUE(received.has_value());
   ASSERT_EQ(received->ops.size(), 1u);
   EXPECT_EQ(received->ops[0].seq, 7u);
   EXPECT_EQ(received->ops[0].dispatch_ns, 1000u);
   EXPECT_EQ(received->targets, (std::vector<ViewId>{10, 11, 12}));
-  EXPECT_FALSE(fabric->TryRecv(0, 2).has_value());
+  EXPECT_FALSE(fabric.TryRecv(0, 2).has_value());
 }
 
-TEST_P(FabricTest, ChannelsAreIndependentPerPair) {
-  auto fabric = MakeFabric(GetParam(), 3, 4);
+TEST(FabricTest, ChannelsAreIndependentPerPair) {
+  Fabric fabric(3, 4);
   WireBatch from0 = MakeBatch(1, 100, {1});
   WireBatch from1 = MakeBatch(2, 200, {2});
-  ASSERT_TRUE(fabric->TrySend(0, 2, from0));
-  ASSERT_TRUE(fabric->TrySend(1, 2, from1));
-  EXPECT_FALSE(fabric->TryRecv(2, 0).has_value());  // wrong direction
-  auto a = fabric->TryRecv(0, 2);
-  auto b = fabric->TryRecv(1, 2);
+  ASSERT_TRUE(fabric.TrySend(0, 2, from0));
+  ASSERT_TRUE(fabric.TrySend(1, 2, from1));
+  EXPECT_FALSE(fabric.TryRecv(2, 0).has_value());  // wrong direction
+  auto a = fabric.TryRecv(0, 2);
+  auto b = fabric.TryRecv(1, 2);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(a->ops[0].seq, 1u);
   EXPECT_EQ(b->ops[0].seq, 2u);
 }
 
-TEST_P(FabricTest, TrySendFailsWhenFullAndKeepsBatch) {
-  auto fabric = MakeFabric(GetParam(), 2, 2);
+TEST(FabricTest, TrySendFailsWhenFullAndKeepsBatch) {
+  Fabric fabric(2, 2);
   WireBatch overflow = MakeBatch(99, 900, {42});
   int sent = 0;
-  // Fill the channel to whatever its (transport-rounded) capacity is.
+  // Fill the channel to whatever its (power-of-two-rounded) capacity is.
   for (; sent < 1000; ++sent) {
     WireBatch batch = MakeBatch(static_cast<std::uint64_t>(sent), 1, {1});
-    if (!fabric->TrySend(0, 1, batch)) break;
+    if (!fabric.TrySend(0, 1, batch)) break;
   }
   EXPECT_GE(sent, 2);
-  EXPECT_FALSE(fabric->TrySend(0, 1, overflow));
+  EXPECT_FALSE(fabric.TrySend(0, 1, overflow));
   EXPECT_EQ(overflow.ops[0].seq, 99u);  // rejected batch untouched
   EXPECT_EQ(overflow.targets, std::vector<ViewId>{42});
-  ASSERT_TRUE(fabric->TryRecv(0, 1).has_value());
-  EXPECT_TRUE(fabric->TrySend(0, 1, overflow));  // slot freed
+  ASSERT_TRUE(fabric.TryRecv(0, 1).has_value());
+  EXPECT_TRUE(fabric.TrySend(0, 1, overflow));  // slot freed
 }
 
-TEST_P(FabricTest, BatchedSendAndDrainRoundTrip) {
-  auto fabric = MakeFabric(GetParam(), 3, 8);
+TEST(FabricTest, BatchedSendAndDrainRoundTrip) {
+  Fabric fabric(3, 8);
   std::vector<WireBatch> staged;
   for (std::uint64_t i = 0; i < 5; ++i) {
     staged.push_back(MakeBatch(i, 100 + i, {static_cast<ViewId>(i)}));
   }
-  ASSERT_EQ(fabric->TrySendBatch(0, 2, staged), 5u);
+  ASSERT_EQ(fabric.TrySendBatch(0, 2, staged), 5u);
 
   // Drain respects max, preserves order, and appends to the caller's
   // buffer — the runtime reuses one scratch vector across channels.
   std::vector<WireBatch> out;
-  EXPECT_EQ(fabric->DrainChannel(0, 2, out, 2), 2u);
+  EXPECT_EQ(fabric.DrainChannel(0, 2, out, 2), 2u);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(fabric->DrainChannel(0, 2, out, 100), 3u);
+  EXPECT_EQ(fabric.DrainChannel(0, 2, out, 100), 3u);
   ASSERT_EQ(out.size(), 5u);
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(out[i].ops[0].seq, i);
     EXPECT_EQ(out[i].ops[0].dispatch_ns, 100 + i);
     EXPECT_EQ(out[i].targets, std::vector<ViewId>{static_cast<ViewId>(i)});
   }
-  EXPECT_EQ(fabric->DrainChannel(0, 2, out, 100), 0u);  // empty channel
-  EXPECT_FALSE(fabric->TryRecv(0, 2).has_value());
+  EXPECT_EQ(fabric.DrainChannel(0, 2, out, 100), 0u);  // empty channel
+  EXPECT_FALSE(fabric.TryRecv(0, 2).has_value());
 }
 
-TEST_P(FabricTest, BatchedSendTakesPrefixWhenChannelFills) {
-  auto fabric = MakeFabric(GetParam(), 2, 4);
-  // Learn the channel's (transport-rounded) capacity, then free it.
+TEST(FabricTest, BatchedSendTakesPrefixWhenChannelFills) {
+  Fabric fabric(2, 4);
+  // Learn the channel's (power-of-two-rounded) capacity, then free it.
   std::uint32_t capacity = 0;
   for (; capacity < 1000; ++capacity) {
     WireBatch filler = MakeBatch(capacity, 1, {1});
-    if (!fabric->TrySend(0, 1, filler)) break;
+    if (!fabric.TrySend(0, 1, filler)) break;
   }
   std::vector<WireBatch> drained;
-  ASSERT_EQ(fabric->DrainChannel(0, 1, drained, 1000), capacity);
+  ASSERT_EQ(fabric.DrainChannel(0, 1, drained, 1000), capacity);
 
   // Offer capacity + 3: exactly the leading `capacity` go through, the
   // rejected suffix is untouched and retryable.
@@ -381,26 +364,26 @@ TEST_P(FabricTest, BatchedSendTakesPrefixWhenChannelFills) {
   for (std::uint64_t i = 0; i < capacity + 3u; ++i) {
     staged.push_back(MakeBatch(i, 1, {static_cast<ViewId>(i)}));
   }
-  EXPECT_EQ(fabric->TrySendBatch(0, 1, staged), capacity);
-  EXPECT_EQ(fabric->TrySendBatch(0, 1,
-                                 std::span<WireBatch>(staged).subspan(capacity)),
+  EXPECT_EQ(fabric.TrySendBatch(0, 1, staged), capacity);
+  EXPECT_EQ(fabric.TrySendBatch(
+                0, 1, std::span<WireBatch>(staged).subspan(capacity)),
             0u);  // full: nothing accepted
   for (std::uint64_t i = capacity; i < capacity + 3u; ++i) {
     EXPECT_EQ(staged[i].ops[0].seq, i);  // suffix intact
   }
   drained.clear();
-  EXPECT_EQ(fabric->DrainChannel(0, 1, drained, 1000), capacity);
+  EXPECT_EQ(fabric.DrainChannel(0, 1, drained, 1000), capacity);
   for (std::uint32_t i = 0; i < capacity; ++i) {
     EXPECT_EQ(drained[i].ops[0].seq, i);
   }
   // The freed slots accept the suffix now.
-  EXPECT_EQ(fabric->TrySendBatch(0, 1,
-                                 std::span<WireBatch>(staged).subspan(capacity)),
+  EXPECT_EQ(fabric.TrySendBatch(
+                0, 1, std::span<WireBatch>(staged).subspan(capacity)),
             3u);
 }
 
-TEST_P(FabricTest, BatchedAndSingleOpCallsInterleaveOnOneChannel) {
-  auto fabric = MakeFabric(GetParam(), 2, 16);
+TEST(FabricTest, BatchedAndSingleOpCallsInterleaveOnOneChannel) {
+  Fabric fabric(2, 16);
   std::uint64_t next_send = 0;
   std::uint64_t next_recv = 0;
   std::vector<WireBatch> out;
@@ -409,35 +392,35 @@ TEST_P(FabricTest, BatchedAndSingleOpCallsInterleaveOnOneChannel) {
       std::vector<WireBatch> staged;
       staged.push_back(MakeBatch(next_send, 1, {1}));
       staged.push_back(MakeBatch(next_send + 1, 1, {2}));
-      ASSERT_EQ(fabric->TrySendBatch(0, 1, staged), 2u);
+      ASSERT_EQ(fabric.TrySendBatch(0, 1, staged), 2u);
       next_send += 2;
     } else {
       WireBatch one = MakeBatch(next_send, 1, {3});
-      ASSERT_TRUE(fabric->TrySend(0, 1, one));
+      ASSERT_TRUE(fabric.TrySend(0, 1, one));
       ++next_send;
     }
     if (round % 3 == 0) {
       out.clear();
-      fabric->DrainChannel(0, 1, out, 3);
+      fabric.DrainChannel(0, 1, out, 3);
       for (const WireBatch& b : out) ASSERT_EQ(b.ops[0].seq, next_recv++);
     } else {
-      while (auto b = fabric->TryRecv(0, 1)) {
+      while (auto b = fabric.TryRecv(0, 1)) {
         ASSERT_EQ(b->ops[0].seq, next_recv++);
       }
     }
   }
-  while (auto b = fabric->TryRecv(0, 1)) ASSERT_EQ(b->ops[0].seq, next_recv++);
+  while (auto b = fabric.TryRecv(0, 1)) ASSERT_EQ(b->ops[0].seq, next_recv++);
   EXPECT_EQ(next_recv, next_send);
 }
 
 // Threaded batched exchange on every channel: producers publish with
 // TrySendBatch, consumers claim with DrainChannel (TSan fodder for the
 // batched fast path).
-TEST_P(FabricTest, AllPairsThreadedBatchedExchange) {
+TEST(FabricTest, AllPairsThreadedBatchedExchange) {
   constexpr std::uint32_t kShards = 4;
   constexpr std::uint64_t kPerPair = 500;
   constexpr std::uint64_t kBurst = 4;
-  auto fabric = MakeFabric(GetParam(), kShards, 8);
+  Fabric fabric(kShards, 8);
   std::vector<std::thread> workers;
   std::atomic<bool> failed{false};
   workers.reserve(kShards);
@@ -461,10 +444,10 @@ TEST_P(FabricTest, AllPairsThreadedBatchedExchange) {
               staged.push_back(MakeBatch(next_send[peer] + k, 1,
                                          {static_cast<ViewId>(self)}));
             }
-            next_send[peer] += fabric->TrySendBatch(self, peer, staged);
+            next_send[peer] += fabric.TrySendBatch(self, peer, staged);
           }
           claimed.clear();
-          fabric->DrainChannel(peer, self, claimed, kBurst);
+          fabric.DrainChannel(peer, self, claimed, kBurst);
           for (const WireBatch& batch : claimed) {
             if (batch.ops[0].seq != next_recv[peer] ||
                 batch.targets[0] != peer) {
@@ -482,32 +465,13 @@ TEST_P(FabricTest, AllPairsThreadedBatchedExchange) {
   EXPECT_FALSE(failed.load());
 }
 
-TEST_P(FabricTest, OldestDispatchNsTracksHeadOfChannel) {
-  auto fabric = MakeFabric(GetParam(), 2, 4);
-  EXPECT_EQ(fabric->OldestDispatchNs(0, 1), 0u);  // empty
-  WireBatch first = MakeBatch(1, 500, {1});
-  WireBatch second = MakeBatch(2, 900, {2});
-  ASSERT_TRUE(fabric->TrySend(0, 1, first));
-  ASSERT_TRUE(fabric->TrySend(0, 1, second));
-  EXPECT_EQ(fabric->OldestDispatchNs(0, 1), 500u);
-  ASSERT_TRUE(fabric->TryRecv(0, 1).has_value());
-  EXPECT_EQ(fabric->OldestDispatchNs(0, 1), 900u);
-  ASSERT_TRUE(fabric->TryRecv(0, 1).has_value());
-  EXPECT_EQ(fabric->OldestDispatchNs(0, 1), 0u);
-}
-
-TEST_P(FabricTest, NamesIdentifyTransport) {
-  EXPECT_STREQ(MakeFabric(GetParam(), 2, 2)->name(),
-               GetParam() == FabricTransport::kMutex ? "mutex" : "spsc");
-}
-
 // Threaded pairwise exchange: every shard sends a numbered stream to every
 // other shard; receivers must observe each stream complete and in order.
 // Exercises all n*(n-1) channels concurrently (TSan fodder).
-TEST_P(FabricTest, AllPairsThreadedExchange) {
+TEST(FabricTest, AllPairsThreadedExchange) {
   constexpr std::uint32_t kShards = 4;
   constexpr std::uint64_t kPerPair = 500;
-  auto fabric = MakeFabric(GetParam(), kShards, 4);
+  Fabric fabric(kShards, 4);
   std::vector<std::thread> workers;
   std::atomic<bool> failed{false};
   workers.reserve(kShards);
@@ -524,9 +488,9 @@ TEST_P(FabricTest, AllPairsThreadedExchange) {
             done = false;
             WireBatch batch =
                 MakeBatch(next_send[peer], 1, {static_cast<ViewId>(self)});
-            if (fabric->TrySend(self, peer, batch)) ++next_send[peer];
+            if (fabric.TrySend(self, peer, batch)) ++next_send[peer];
           }
-          while (auto batch = fabric->TryRecv(peer, self)) {
+          while (auto batch = fabric.TryRecv(peer, self)) {
             if (batch->ops[0].seq != next_recv[peer] ||
                 batch->targets[0] != peer) {
               failed.store(true);

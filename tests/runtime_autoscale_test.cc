@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -57,42 +56,6 @@ TEST(AutoScalerTest, SplitOnLoadDoublesAndClampsToMax) {
   EXPECT_STREQ(scaler.history()[1].reason, "split-load");
   EXPECT_EQ(scaler.history()[1].decision, 4u);
   EXPECT_EQ(scaler.history()[3].decision, 0u);  // at max: hold
-}
-
-TEST(AutoScalerTest, SplitOnImbalanceNeedsPeersAndTraffic) {
-  AutoScalerConfig config = BaseScaler();
-  config.split_shard_ops = 0;
-  config.split_imbalance = 2.0;
-  AutoScaler scaler(config);
-  // 900 vs 100: mean 500, imbalance 1.8 — holds.
-  EXPECT_EQ(scaler.Observe(0, 2, Deltas({900, 100})), 0u);
-  // 990 vs 10: imbalance 1.98 — still holds; 999 vs 1 is 1.998... use 3
-  // shards: 900/50/50, mean 333.3, imbalance 2.7 — splits to 6.
-  EXPECT_EQ(scaler.Observe(1, 3, Deltas({900, 50, 50})), 6u);
-  EXPECT_STREQ(scaler.history().back().reason, "split-imbalance");
-  // One shard can never be imbalanced against itself, and an empty epoch
-  // has imbalance 0.
-  EXPECT_EQ(scaler.Observe(2, 1, Deltas({5000})), 0u);
-  EXPECT_EQ(scaler.Observe(3, 4, Deltas({0, 0, 0, 0})), 0u);
-  EXPECT_EQ(scaler.history().back().imbalance, 0.0);
-}
-
-TEST(AutoScalerTest, SplitOnQueueBacklog) {
-  AutoScalerConfig config = BaseScaler();
-  config.split_shard_ops = 0;
-  config.merge_shard_ops = 0;
-  config.split_queue_backlog = 4.0;
-  AutoScaler scaler(config);
-  ShardStats calm;
-  calm.requests = 100;
-  calm.task_batches = 10;
-  calm.queue_backlog_sum = 30;  // mean backlog 3 < 4
-  ShardStats pressured = calm;
-  pressured.queue_backlog_sum = 45;  // mean backlog 4.5 >= 4
-  EXPECT_EQ(scaler.Observe(0, 2, std::vector<ShardStats>{calm, calm}), 0u);
-  EXPECT_EQ(scaler.Observe(1, 2, std::vector<ShardStats>{calm, pressured}),
-            4u);
-  EXPECT_STREQ(scaler.history().back().reason, "split-queue");
 }
 
 TEST(AutoScalerTest, CooldownHoldsAfterAnyDecision) {
@@ -156,20 +119,6 @@ TEST(AutoScalerTest, ConfigValidationNamesTheOffendingField) {
   config = {};
   config.max_shards = 0;
   expect_throw(config, "max_shards");
-  config = {};
-  config.split_imbalance = 0.5;
-  expect_throw(config, "split_imbalance");
-  config = {};
-  config.split_queue_backlog = -1.0;
-  expect_throw(config, "split_queue_backlog");
-  // NaN thresholds compare false against everything — they would silently
-  // disable a trigger, so they are rejected like any other bad range.
-  config = {};
-  config.split_queue_backlog = std::nan("");
-  expect_throw(config, "split_queue_backlog");
-  config = {};
-  config.split_imbalance = std::nan("");
-  expect_throw(config, "split_imbalance");
   config = {};
   config.merge_cold_epochs = 0;
   expect_throw(config, "merge_cold_epochs");

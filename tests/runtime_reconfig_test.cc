@@ -252,26 +252,6 @@ TEST(RuntimeReconfigTest, EagerDrainSurvivesReconfiguration) {
   EXPECT_EQ(result.reconfig_events.size(), 2u);
 }
 
-TEST(RuntimeReconfigTest, MutexTransportReconfigMatchesSpsc) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g, 0.5);
-
-  RuntimeConfig spsc_config;
-  spsc_config.num_shards = 2;
-  RuntimeConfig mutex_config = spsc_config;
-  mutex_config.transport = FabricTransport::kMutex;
-
-  const RuntimeResult spsc = RunReconfiguring(g, log, /*adaptive=*/true,
-                                              spsc_config, {{4, 4}});
-  const RuntimeResult mutex = RunReconfiguring(g, log, /*adaptive=*/true,
-                                               mutex_config, {{4, 4}});
-  ExpectCountersEq(spsc.counters, mutex.counters);
-  ASSERT_EQ(spsc.shard_counters.size(), mutex.shard_counters.size());
-  for (std::size_t s = 0; s < spsc.shard_counters.size(); ++s) {
-    ExpectCountersEq(spsc.shard_counters[s], mutex.shard_counters[s]);
-  }
-}
-
 // ----- Determinism and per-shard accounting -----
 
 TEST(RuntimeReconfigTest, ReconfiguringRunsAreDeterministic) {
@@ -324,8 +304,8 @@ TEST(RuntimeReconfigTest, PerShardAccountingMatchesTimedPartition) {
                                                 rt_config, {{8, 4}});
   ASSERT_EQ(result.reconfig_events.size(), 1u);
 
-  const ShardMap before(2, g.num_users(), ShardingMode::kHash);
-  const ShardMap after(4, g.num_users(), ShardingMode::kHash);
+  const ShardMap before(2);
+  const ShardMap after(4);
   const std::vector<wl::ShardStep> steps{
       {0, 2, [&](UserId u) { return before.shard_of(u); }},
       {result.reconfig_events.front().epoch_end, 4,
@@ -474,8 +454,8 @@ TEST(RuntimeReconfigTest, OwnerChangeAfterTicksHandsOffExactState) {
 
   // The moving view with the most replicas (then the lowest id) among
   // those whose window still holds writes.
-  const ShardMap before(2, g.num_users(), ShardingMode::kHash);
-  const ShardMap after(3, g.num_users(), ShardingMode::kHash);
+  const ShardMap before(2);
+  const ShardMap after(3);
   core::ViewStateSnapshot exported;
   for (ViewId v = 0; v < g.num_users(); ++v) {
     if (before.shard_of(v) == after.shard_of(v)) continue;
@@ -639,19 +619,6 @@ TEST(RuntimeReconfigTest, ThrowingEpochHookLeavesRuntimeReusable) {
   // exactly one whole log on top — nothing was lost or double-counted.
   EXPECT_GE(result.counters.reads, log.num_reads);
   EXPECT_GE(result.counters.writes, log.num_writes);
-}
-
-TEST(RuntimeReconfigTest, RangeShardingReconfiguresToo) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g, 0.5);
-
-  RuntimeConfig rt_config;
-  rt_config.num_shards = 2;
-  rt_config.sharding = ShardingMode::kRange;
-  const RuntimeResult result = RunReconfiguring(g, log, /*adaptive=*/false,
-                                                rt_config, {{4, 4}});
-  ExpectConserved(result, log);
-  ExpectAggregatesMatchStatic(result, RunStatic(g, log, false, 2));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The SLO control plane: end-to-end completion join (one latency sample per
 // owned request, dispatch to last slice), the p99-targeting scaler policy
 // ("split-slo" trigger + dead-banded merge veto on top of the load
-// triggers), and the online staleness tuner. The load-bearing properties:
+// trigger). The load-bearing properties:
 // the join conserves bit-for-bit — e2e_latency.count() == totals.requests —
 // across shard counts, drain policies, mid-run resizes, kills, and scaler
 // resizes; scaler decisions respect cooldown and the SLO dead band; and
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -103,73 +102,12 @@ void ExpectJoinConserved(const RuntimeResult& r) {
 
 // ----- Config validation: every new knob names its field -----
 
-TEST(SloConfigTest, ScalerSloKnobsAreValidatedWithNamedFields) {
-  const auto expect_throw = [](const RuntimeConfig& config,
-                               const char* field) {
-    try {
-      config.Validate();
-      FAIL() << "expected invalid_argument naming " << field;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-          << e.what();
-    }
-  };
-
+TEST(SloConfigTest, ScalerSloTargetHasNoRangeRestriction) {
+  // 0 is "policy off"; every other value is a target.
   RuntimeConfig rt_config;
-  rt_config.scaler.slo_dead_band = -0.1;
-  expect_throw(rt_config, "slo_dead_band");
-  rt_config.scaler.slo_dead_band = 1.0;  // would veto merges forever
-  expect_throw(rt_config, "slo_dead_band");
-  rt_config.scaler.slo_dead_band = std::nan("");  // would never veto
-  expect_throw(rt_config, "slo_dead_band");
-  rt_config.scaler.slo_dead_band = 0.0;
-  EXPECT_NO_THROW(rt_config.Validate());
-  rt_config.scaler.slo_dead_band = 0.99;
-  EXPECT_NO_THROW(rt_config.Validate());
-
-  // The target itself has no range restriction: 0 is "policy off".
-  rt_config = {};
   rt_config.scaler.target_p99_micros = 0;
   EXPECT_NO_THROW(rt_config.Validate());
   rt_config.scaler.target_p99_micros = ~std::uint64_t{0};
-  EXPECT_NO_THROW(rt_config.Validate());
-}
-
-TEST(SloConfigTest, StalenessTunerKnobsAreValidatedWithNamedFields) {
-  const auto expect_throw = [](const RuntimeConfig& config,
-                               const char* field) {
-    try {
-      config.Validate();
-      FAIL() << "expected invalid_argument naming " << field;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-          << e.what();
-    }
-  };
-
-  // The tuner only makes sense where staleness gates anything: kEager.
-  RuntimeConfig rt_config;
-  rt_config.tune_staleness = true;
-  rt_config.staleness_target_p99_micros = 100;
-  expect_throw(rt_config, "tune_staleness");
-  rt_config.drain = DrainPolicy::kEager;
-  EXPECT_NO_THROW(rt_config.Validate());
-
-  // A 0-µs freshness target would halve the bound forever.
-  rt_config.staleness_target_p99_micros = 0;
-  expect_throw(rt_config, "staleness_target_p99_micros");
-  rt_config.staleness_target_p99_micros = 1;
-  EXPECT_NO_THROW(rt_config.Validate());
-
-  // The starting point must sit inside the tuner's ceiling.
-  rt_config.staleness_micros = RuntimeConfig::kMaxTunedStalenessMicros + 1;
-  expect_throw(rt_config, "kMaxTunedStalenessMicros");
-  rt_config.staleness_micros = RuntimeConfig::kMaxTunedStalenessMicros;
-  EXPECT_NO_THROW(rt_config.Validate());
-  // Without the tuner the same staleness bound is legal (kMaxStaleness
-  // is the only ceiling there).
-  rt_config.tune_staleness = false;
-  rt_config.staleness_micros = RuntimeConfig::kMaxTunedStalenessMicros + 1;
   EXPECT_NO_THROW(rt_config.Validate());
 }
 
@@ -257,8 +195,7 @@ TEST(AutoScalerSloTest, CooldownHoldsAfterSloSplit) {
 TEST(AutoScalerSloTest, MergeVetoHoldsInsideDeadBandAndResetsStreak) {
   AutoScalerConfig config = SloScaler(1000);
   config.merge_shard_ops = 500;  // every epoch below is ops-cold
-  config.merge_cold_epochs = 2;
-  config.slo_dead_band = 0.25;  // merges need p99 <= 750
+  config.merge_cold_epochs = 2;  // kSloDeadBand 0.25: merges need p99 <= 750
   AutoScaler scaler(config);
 
   // Cold + comfortably under the band: the streak accrues.
@@ -422,7 +359,7 @@ TEST(RuntimeSloTest, SeededSweepConservesJoinAcrossKillsResizesAndScaling) {
       }
       if (std::string_view(obs.reason) == "slo-merge-veto") {
         // Vetoes only fire inside the dead band, and discard the streak.
-        EXPECT_GT(obs.e2e_p99_us, (1.0 - sc.slo_dead_band) *
+        EXPECT_GT(obs.e2e_p99_us, (1.0 - AutoScalerConfig::kSloDeadBand) *
                                       static_cast<double>(
                                           sc.target_p99_micros));
         EXPECT_EQ(obs.cold_streak, 0u);
@@ -432,7 +369,7 @@ TEST(RuntimeSloTest, SeededSweepConservesJoinAcrossKillsResizesAndScaling) {
         // A permitted merge had latency at or below the band (or no
         // latency evidence at all this epoch).
         if (obs.e2e_p99_us > 0) {
-          EXPECT_LE(obs.e2e_p99_us, (1.0 - sc.slo_dead_band) *
+          EXPECT_LE(obs.e2e_p99_us, (1.0 - AutoScalerConfig::kSloDeadBand) *
                                         static_cast<double>(
                                             sc.target_p99_micros));
         }
@@ -447,65 +384,6 @@ TEST(RuntimeSloTest, SeededSweepConservesJoinAcrossKillsResizesAndScaling) {
                   })))
         << "seed " << seed;
   }
-}
-
-// ----- Staleness tuner -----
-
-TEST(RuntimeSloTest, TunerHalvesTowardUnmeetableFreshnessTarget) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g);
-  const RuntimeFixture fx = MakeFixture(g);
-  RuntimeConfig rt_config;
-  rt_config.num_shards = 4;
-  rt_config.drain = DrainPolicy::kEager;
-  rt_config.staleness_micros = 512;
-  rt_config.tune_staleness = true;
-  // 1 µs freshness is unreachable, so every evidenced boundary halves the
-  // live bound until it floors at 0 (immediate eager serving).
-  rt_config.staleness_target_p99_micros = 1;
-  ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine, rt_config);
-  const RuntimeResult result = runtime.Run(log);
-
-  ExpectJoinConserved(result);
-  EXPECT_GE(result.staleness_tunings, 5u);
-  EXPECT_LT(result.staleness_micros_end, rt_config.staleness_micros);
-}
-
-TEST(RuntimeSloTest, TunerDoublesToCeilingWhenFreshnessHasSlack) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g);
-  const RuntimeFixture fx = MakeFixture(g);
-  RuntimeConfig rt_config;
-  rt_config.num_shards = 4;
-  rt_config.drain = DrainPolicy::kEager;
-  rt_config.staleness_micros = 4096;
-  rt_config.tune_staleness = true;
-  // An absurdly lax target (1000 s): observed freshness always sits below
-  // half of it, so the tuner doubles every evidenced boundary until the
-  // runaway ceiling — batching maximally because the SLO permits it.
-  rt_config.staleness_target_p99_micros = 1'000'000'000;
-  ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine, rt_config);
-  const RuntimeResult result = runtime.Run(log);
-
-  ExpectJoinConserved(result);
-  EXPECT_GE(result.staleness_tunings, 8u);  // 4096 µs -> 1 s in 8 doublings
-  EXPECT_EQ(result.staleness_micros_end,
-            RuntimeConfig::kMaxTunedStalenessMicros);
-}
-
-TEST(RuntimeSloTest, TunerOffLeavesTheConfiguredBoundUntouched) {
-  const auto g = TestGraph(400);
-  const auto log = TestLog(g, 0.5);
-  const RuntimeFixture fx = MakeFixture(g);
-  RuntimeConfig rt_config;
-  rt_config.num_shards = 2;
-  rt_config.drain = DrainPolicy::kEager;
-  rt_config.staleness_micros = 250;
-  ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine, rt_config);
-  const RuntimeResult result = runtime.Run(log);
-  ExpectJoinConserved(result);
-  EXPECT_EQ(result.staleness_tunings, 0u);
-  EXPECT_EQ(result.staleness_micros_end, rt_config.staleness_micros);
 }
 
 }  // namespace

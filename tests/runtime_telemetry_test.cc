@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,12 +84,10 @@ RuntimeResult RunWithPlan(const graph::SocialGraph& g,
   return runtime.Run(log);
 }
 
-RuntimeConfig TelemetryConfigOn(std::uint32_t shards,
-                                std::uint32_t capacity = 16384) {
+RuntimeConfig TelemetryConfigOn(std::uint32_t shards) {
   RuntimeConfig rt_config;
   rt_config.num_shards = shards;
   rt_config.telemetry.enabled = true;
-  rt_config.telemetry.event_capacity = capacity;
   return rt_config;
 }
 
@@ -256,25 +255,32 @@ TEST(RuntimeTelemetryTest, ChromeTraceIsWellFormedAndChronological) {
 }
 
 TEST(RuntimeTelemetryTest, RingDropsOldestButKeepsSequenceMonotone) {
-  const auto g = TestGraph(400);
-  const auto log = TestLog(g, 0.5);
-  // A 8-event ring per track is far below the run's event volume, so every
-  // track overwrites; retained events must still be the *newest* per track
-  // with strictly increasing sequence numbers.
-  const RuntimeResult result =
-      RunWithPlan(g, log, TelemetryConfigOn(2, /*capacity=*/8), {});
-  ASSERT_NE(result.telemetry, nullptr);
-  const TelemetrySnapshot& snap = *result.telemetry;
-  EXPECT_GT(snap.dropped_events, 0u);
-  ExpectEventsOrderedAndChronological(snap);
-  for (std::uint32_t track = 0; track < snap.num_tracks; ++track) {
-    const auto held = std::count_if(
-        snap.events.begin(), snap.events.end(),
-        [track](const TraceEvent& e) { return e.track == track; });
-    EXPECT_LE(held, 8);
+  // An 8-event ring under 50 emits overwrites; the retained events must be
+  // the *newest* ones, with strictly increasing sequence numbers.
+  TelemetryTrack track(/*track_id=*/1, /*capacity=*/8);
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    TraceEvent e;
+    e.type = TraceEventType::kBatch;
+    e.ts_ns = 1000 + i;
+    e.dur_ns = 1;
+    e.u0 = i;
+    track.Emit(e);
   }
-  // The trailing boundary's drain events survive: the last retained shard
-  // event is from the run's end, not its beginning.
+  EXPECT_EQ(track.next_seq(), 50u);
+  EXPECT_EQ(track.dropped(), 42u);
+  TelemetrySnapshot snap;
+  track.CopyEvents(snap.events);
+  ASSERT_EQ(snap.events.size(), 8u);
+  for (std::size_t k = 0; k < snap.events.size(); ++k) {
+    EXPECT_EQ(snap.events[k].track, 1u);
+    EXPECT_EQ(snap.events[k].seq, 42u + k);
+    EXPECT_EQ(snap.events[k].u0, 42u + k);  // the newest events survive
+  }
+  // A snapshot over the wrapped ring still exports a well-formed trace.
+  snap.dropped_events = track.dropped();
+  snap.num_tracks = 2;
+  snap.base_ts_ns = snap.events.front().ts_ns;
+  ExpectEventsOrderedAndChronological(snap);
   ExpectBalancedJson(ChromeTraceJson(snap));
 }
 
@@ -290,15 +296,13 @@ TEST(RuntimeTelemetryTest, MetricTotalsReconcileWithRunAggregates) {
   // One row per (boundary, shard): 24 epochs x 4 shards.
   const common::MetricSeries& series = result.telemetry->series;
   EXPECT_EQ(series.rows().size(), 24u * 4u);
-  EXPECT_EQ(series.schema().size(), 25u);
-  // Under kEpoch no staleness-gated polls run.
+  EXPECT_EQ(series.schema().size(), 24u);
+  // Under kEpoch no mid-epoch polls run.
   EXPECT_EQ(series.ColumnTotal("eager_drains"), 0.0);
-  // With the scaler and the staleness tuner disabled the SLO columns are
-  // all-zero, and so are the RuntimeResult lifetime totals they mirror.
+  // With the scaler disabled the SLO column is all-zero, and so is the
+  // RuntimeResult lifetime total it mirrors.
   EXPECT_EQ(series.ColumnTotal("slo_decisions"), 0.0);
-  EXPECT_EQ(series.ColumnTotal("staleness_tuned"), 0.0);
   EXPECT_EQ(result.slo_split_decisions, 0u);
-  EXPECT_EQ(result.staleness_tunings, 0u);
   // The end-to-end join still runs (it is not gated on telemetry or the
   // scaler): one sample per owned request.
   EXPECT_EQ(result.e2e_latency.count(), result.totals.requests);
@@ -321,8 +325,7 @@ TEST(RuntimeTelemetryTest, PlacementEventsRecordOutcomePerShard) {
   const auto g = TestGraph(400);
   const auto log = TestLog(g, 0.5);
   RuntimeConfig rt_config = TelemetryConfigOn(2);
-  rt_config.placement.pin_threads = true;
-  rt_config.placement.first_touch = true;
+  rt_config.placement.pin_workers = true;
   const RuntimeResult result = RunWithPlan(g, log, rt_config, {});
   ASSERT_NE(result.telemetry, nullptr);
   const TelemetrySnapshot& snap = *result.telemetry;
@@ -335,7 +338,7 @@ TEST(RuntimeTelemetryTest, PlacementEventsRecordOutcomePerShard) {
     if (e.type != TraceEventType::kPlacement) continue;
     EXPECT_GE(e.track, 1u) << "placement runs on worker tracks, not track 0";
     EXPECT_EQ(e.dur_ns, 0u);
-    EXPECT_EQ(e.u3, 1u);  // first_touch was requested
+    EXPECT_EQ(e.u3, 1u);  // first touch rides placement
     EXPECT_STRNE(e.label, "");
     if (e.u2 != 0) {
       EXPECT_EQ(e.u1, e.u0);  // pinned => achieved == requested
@@ -424,7 +427,6 @@ TEST(RuntimeTelemetryTest, EagerDrainColumnReconcilesUnderEagerPolicy) {
   const auto log = TestLog(g, 0.5);
   RuntimeConfig rt_config = TelemetryConfigOn(4);
   rt_config.drain = DrainPolicy::kEager;
-  rt_config.staleness_micros = 0;
   const RuntimeResult result = RunWithPlan(g, log, rt_config, {});
   ExpectSeriesReconciles(result);
   EXPECT_EQ(static_cast<std::uint64_t>(
@@ -534,11 +536,9 @@ TEST(RuntimeTelemetryTest, DisabledTelemetryIsNullAndBitIdentical) {
   EXPECT_EQ(traced.e2e_latency.count(), base.e2e_latency.count());
 }
 
-TEST(RuntimeTelemetryTest, ZeroCapacityRingIsRejectedWhenEnabled) {
-  RuntimeConfig rt_config = TelemetryConfigOn(2, /*capacity=*/0);
-  EXPECT_THROW(rt_config.Validate(), std::invalid_argument);
-  rt_config.telemetry.enabled = false;
-  EXPECT_NO_THROW(rt_config.Validate());
+TEST(RuntimeTelemetryTest, ZeroCapacityRingIsRejected) {
+  EXPECT_THROW(TelemetryTrack(1, 0), std::invalid_argument);
+  EXPECT_NO_THROW(TelemetryTrack(1, 1));
 }
 
 // ----- Scaler decision instants -----
@@ -663,9 +663,6 @@ TEST(RuntimeTelemetryTest, SloColumnsReconcileWithScalerHistoryAndResult) {
   }
   EXPECT_EQ(series.ColumnTotal("slo_decisions"),
             static_cast<double>(expected_sampled));
-  // The staleness tuner is off: its column stays all-zero.
-  EXPECT_EQ(series.ColumnTotal("staleness_tuned"), 0.0);
-  EXPECT_EQ(result.staleness_tunings, 0u);
 
   // e2e_p99 has no offset: every row of an epoch the scaler observed
   // carries the exact double the observation recorded (same delta
@@ -694,42 +691,6 @@ TEST(RuntimeTelemetryTest, SloColumnsReconcileWithScalerHistoryAndResult) {
   EXPECT_NE(json.find("split-slo"), std::string::npos);
   EXPECT_NE(json.find("\"e2e_p99_us\""), std::string::npos);
   EXPECT_NE(json.find("\"slo_target_us\""), std::string::npos);
-  EXPECT_EQ(result.e2e_latency.count(), result.totals.requests);
-  ExpectSeriesReconciles(result);
-}
-
-// The staleness tuner's column reconciles with the lifetime total up to the
-// one-boundary offset: a retune at the final boundary is never sampled, and
-// at most one retune happens per boundary, so the column sum is within 1 of
-// RuntimeResult::staleness_tunings.
-TEST(RuntimeTelemetryTest, StalenessTunedColumnReconcilesWithResult) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g);
-
-  RuntimeConfig rt_config = TelemetryConfigOn(4);
-  rt_config.drain = DrainPolicy::kEager;
-  rt_config.staleness_micros = 1000;
-  rt_config.tune_staleness = true;
-  // A 1 µs freshness target is unmeetable on any real machine, so the tuner
-  // halves the live bound every evidenced boundary: 1000 µs reaches 0 in
-  // ten retunes, well before the run's 24 boundaries.
-  rt_config.staleness_target_p99_micros = 1;
-
-  const RuntimeResult result = RunWithPlan(g, log, rt_config, {});
-  ASSERT_NE(result.telemetry, nullptr);
-  const common::MetricSeries& series = result.telemetry->series;
-
-  EXPECT_GE(result.staleness_tunings, 10u);
-  EXPECT_LT(result.staleness_micros_end, rt_config.staleness_micros);
-  const double column = series.ColumnTotal("staleness_tuned");
-  EXPECT_LE(column, static_cast<double>(result.staleness_tunings));
-  EXPECT_GE(column + 1.0, static_cast<double>(result.staleness_tunings));
-  // No scaler: the decision column stays all-zero.
-  EXPECT_EQ(series.ColumnTotal("slo_decisions"), 0.0);
-  EXPECT_EQ(result.slo_split_decisions, 0u);
-
-  // Eager drains plus the tuner never break conservation: the join still
-  // sees exactly one completion per owned request.
   EXPECT_EQ(result.e2e_latency.count(), result.totals.requests);
   ExpectSeriesReconciles(result);
 }

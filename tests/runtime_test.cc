@@ -126,7 +126,7 @@ TEST(BoundedQueueTest, MultiProducerDeliversEverything) {
 // ----- ShardMap -----
 
 TEST(ShardMapTest, HashCoversAllShardsAndIsStable) {
-  const ShardMap map(4, 10000, ShardingMode::kHash);
+  const ShardMap map(4);
   std::vector<std::uint32_t> hits(4, 0);
   for (UserId u = 0; u < 10000; ++u) {
     const std::uint32_t s = map.shard_of(u);
@@ -137,50 +137,24 @@ TEST(ShardMapTest, HashCoversAllShardsAndIsStable) {
   for (std::uint32_t h : hits) EXPECT_GT(h, 2000u);  // roughly even
 }
 
-TEST(ShardMapTest, RangeIsContiguousAndClampsTail) {
-  const ShardMap map(4, 10, ShardingMode::kRange);  // blocks of 3
-  EXPECT_EQ(map.shard_of(0), 0u);
-  EXPECT_EQ(map.shard_of(2), 0u);
-  EXPECT_EQ(map.shard_of(3), 1u);
-  EXPECT_EQ(map.shard_of(9), 3u);
-  EXPECT_EQ(map.shard_of(11), 3u);  // past the end clamps to the last shard
-}
-
-TEST(ShardMapTest, EveryIdOwnedByExactlyOneShardInBothModes) {
-  for (const ShardingMode mode : {ShardingMode::kHash, ShardingMode::kRange}) {
-    for (const std::uint32_t shards : {1u, 3u, 4u, 7u}) {
-      const std::uint32_t users = 997;  // prime: exercises uneven blocks
-      const ShardMap map(shards, users, mode);
-      std::vector<std::uint32_t> hits(shards, 0);
-      for (UserId u = 0; u < users; ++u) {
-        const std::uint32_t s = map.shard_of(u);
-        ASSERT_LT(s, shards);            // a valid owner...
-        ASSERT_EQ(s, map.shard_of(u));   // ...and always the same one
-        ++hits[s];
-      }
-      std::uint32_t total = 0;
-      for (std::uint32_t h : hits) {
-        EXPECT_GT(h, 0u);  // no shard owns an empty slice of the id space
-        total += h;
-      }
-      EXPECT_EQ(total, users);  // owned exactly once: no loss, no overlap
+TEST(ShardMapTest, EveryIdOwnedByExactlyOneShard) {
+  for (const std::uint32_t shards : {1u, 3u, 4u, 7u}) {
+    const std::uint32_t users = 997;
+    const ShardMap map(shards);
+    std::vector<std::uint32_t> hits(shards, 0);
+    for (UserId u = 0; u < users; ++u) {
+      const std::uint32_t s = map.shard_of(u);
+      ASSERT_LT(s, shards);            // a valid owner...
+      ASSERT_EQ(s, map.shard_of(u));   // ...and always the same one
+      ++hits[s];
     }
+    std::uint32_t total = 0;
+    for (std::uint32_t h : hits) {
+      EXPECT_GT(h, 0u);  // no shard owns an empty slice of the id space
+      total += h;
+    }
+    EXPECT_EQ(total, users);  // owned exactly once: no loss, no overlap
   }
-}
-
-TEST(ShardMapTest, RangeBoundariesWithExactDivision) {
-  const ShardMap map(4, 8, ShardingMode::kRange);  // blocks of exactly 2
-  for (UserId u = 0; u < 8; ++u) EXPECT_EQ(map.shard_of(u), u / 2);
-  // Range ownership is monotone: boundaries only step up, by exactly one.
-  const ShardMap uneven(3, 10, ShardingMode::kRange);  // blocks of 4
-  std::uint32_t prev = 0;
-  for (UserId u = 0; u < 10; ++u) {
-    const std::uint32_t s = uneven.shard_of(u);
-    ASSERT_GE(s, prev);
-    ASSERT_LE(s, prev + 1);
-    prev = s;
-  }
-  EXPECT_EQ(uneven.shard_of(9), 2u);  // the tail lands on the last shard
 }
 
 // ----- Fixtures -----
@@ -370,22 +344,6 @@ TEST(ShardedRuntimeTest, OneShardStaticMatchesSequentialTraffic) {
   }
 }
 
-TEST(ShardedRuntimeTest, NonDivisorEpochIsRoundedAndStaysExact) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g, 0.5);
-  const sim::SimResult sequential =
-      sim::RunExperiment(g, log, BaseConfig(/*adaptive=*/true));
-
-  RuntimeConfig rt_config;
-  rt_config.num_shards = 1;
-  rt_config.spawn_threads = false;
-  rt_config.epoch_seconds = 1000;  // not a divisor of 3600: rounds to 900
-  const RuntimeResult result =
-      RunSharded(g, log, /*adaptive=*/true, rt_config);
-
-  ExpectCountersEq(result.counters, sequential.counters);
-}
-
 // ----- Multi-shard conservation -----
 
 TEST(ShardedRuntimeTest, FourShardStaticConservesAllRequestWork) {
@@ -429,7 +387,7 @@ TEST(ShardedRuntimeTest, FourShardAdaptiveConservesRequests) {
   EXPECT_EQ(result.counters.view_reads, sequential.counters.view_reads);
 
   // Per-shard ownership matches the partitionable workload iteration.
-  const ShardMap map(4, g.num_users(), ShardingMode::kHash);
+  const ShardMap map(4);
   const wl::ShardedRequests partition = wl::PartitionRequests(
       log, 4, [&](UserId u) { return map.shard_of(u); });
   for (std::uint32_t s = 0; s < 4; ++s) {
@@ -437,21 +395,6 @@ TEST(ShardedRuntimeTest, FourShardAdaptiveConservesRequests) {
     EXPECT_EQ(result.shard_stats[s].reads, partition.reads_per_shard[s]);
     EXPECT_EQ(result.shard_stats[s].writes, partition.writes_per_shard[s]);
   }
-}
-
-TEST(ShardedRuntimeTest, RangeShardingConservesToo) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g, 0.5);
-
-  RuntimeConfig rt_config;
-  rt_config.num_shards = 3;
-  rt_config.sharding = ShardingMode::kRange;
-  const RuntimeResult result =
-      RunSharded(g, log, /*adaptive=*/false, rt_config);
-
-  EXPECT_EQ(result.totals.requests, result.expected_requests);
-  EXPECT_EQ(result.counters.reads, log.num_reads);
-  EXPECT_EQ(result.counters.writes, log.num_writes);
 }
 
 TEST(ShardedRuntimeTest, TinyQueueDepthStillCompletes) {
@@ -653,13 +596,12 @@ TEST(ShardedRuntimeTest, PayloadModeReplicatesWritesForCoherence) {
   }
 }
 
-// ----- Fabric transports and drain policies -----
+// ----- Drain policies and placement -----
 
-RuntimeConfig FabricConfig(std::uint32_t shards, FabricTransport transport,
-                           DrainPolicy drain, bool threaded = true) {
+RuntimeConfig FabricConfig(std::uint32_t shards, DrainPolicy drain,
+                           bool threaded = true) {
   RuntimeConfig config;
   config.num_shards = shards;
-  config.transport = transport;
   config.drain = drain;
   config.spawn_threads = threaded;
   return config;
@@ -678,38 +620,13 @@ void ExpectStatsEq(const ShardStats& a, const ShardStats& b) {
   EXPECT_EQ(a.epochs, b.epochs);
 }
 
-TEST(FabricRuntimeTest, SpscEpochMatchesMutexBitForBit) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g);
-
-  const RuntimeResult spsc = RunSharded(
-      g, log, /*adaptive=*/true,
-      FabricConfig(4, FabricTransport::kSpsc, DrainPolicy::kEpoch));
-  const RuntimeResult mutex = RunSharded(
-      g, log, /*adaptive=*/true,
-      FabricConfig(4, FabricTransport::kMutex, DrainPolicy::kEpoch));
-
-  ExpectCountersEq(spsc.counters, mutex.counters);
-  ASSERT_EQ(spsc.shard_counters.size(), mutex.shard_counters.size());
-  for (std::size_t s = 0; s < spsc.shard_counters.size(); ++s) {
-    ExpectCountersEq(spsc.shard_counters[s], mutex.shard_counters[s]);
-    ExpectStatsEq(spsc.shard_stats[s], mutex.shard_stats[s]);
-  }
-  for (int tier = 0; tier < net::kNumTiers; ++tier) {
-    EXPECT_EQ(spsc.traffic_app[tier], mutex.traffic_app[tier]);
-    EXPECT_EQ(spsc.traffic_sys[tier], mutex.traffic_sys[tier]);
-  }
-}
-
 TEST(FabricRuntimeTest, PlacementOnOrOffIsBitIdentical) {
   const auto g = TestGraph();
   const auto log = TestLog(g);
 
-  const RuntimeConfig plain =
-      FabricConfig(4, FabricTransport::kSpsc, DrainPolicy::kEpoch);
+  const RuntimeConfig plain = FabricConfig(4, DrainPolicy::kEpoch);
   RuntimeConfig placed = plain;
-  placed.placement.pin_threads = true;
-  placed.placement.first_touch = true;
+  placed.placement.pin_workers = true;
 
   // Placement only moves threads and memory pages; pinning, the worker-side
   // engine rebuild, and the ring prefault must not change a single counter.
@@ -730,10 +647,8 @@ TEST(FabricRuntimeTest, PlacementSurvivesMidRunResize) {
   const auto g = TestGraph();
   const auto log = TestLog(g);
 
-  RuntimeConfig placed =
-      FabricConfig(2, FabricTransport::kSpsc, DrainPolicy::kEpoch);
-  placed.placement.pin_threads = true;
-  placed.placement.first_touch = true;
+  RuntimeConfig placed = FabricConfig(2, DrainPolicy::kEpoch);
+  placed.placement.pin_workers = true;
 
   // Mid-run split then merge: newly spawned workers run their own placement
   // phase (pin + prefault, never an engine rebuild — they import migrated
@@ -760,19 +675,6 @@ TEST(FabricRuntimeTest, PlacementSurvivesMidRunResize) {
   }
 }
 
-TEST(FabricRuntimeTest, MutexTransportOneShardStillMatchesSequential) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g, 0.5);
-  const sim::SimResult sequential =
-      sim::RunExperiment(g, log, BaseConfig(/*adaptive=*/true));
-
-  const RuntimeResult result =
-      RunSharded(g, log, /*adaptive=*/true,
-                 FabricConfig(1, FabricTransport::kMutex, DrainPolicy::kEpoch,
-                              /*threaded=*/false));
-  ExpectCountersEq(result.counters, sequential.counters);
-}
-
 TEST(FabricRuntimeTest, EagerDrainConservesAllWorkThreaded) {
   const auto g = TestGraph();
   const auto log = TestLog(g);
@@ -780,8 +682,7 @@ TEST(FabricRuntimeTest, EagerDrainConservesAllWorkThreaded) {
       sim::RunExperiment(g, log, BaseConfig(/*adaptive=*/true));
 
   const RuntimeResult result = RunSharded(
-      g, log, /*adaptive=*/true,
-      FabricConfig(4, FabricTransport::kSpsc, DrainPolicy::kEager));
+      g, log, /*adaptive=*/true, FabricConfig(4, DrainPolicy::kEager));
 
   // Eager serving reorders remote slices (that is the point) but must not
   // lose or duplicate any work.
@@ -802,13 +703,13 @@ TEST(FabricRuntimeTest, EagerInlineIsDeterministic) {
   const auto g = TestGraph();
   const auto log = TestLog(g, 0.5);
 
-  const RuntimeConfig config = FabricConfig(
-      3, FabricTransport::kSpsc, DrainPolicy::kEager, /*threaded=*/false);
+  const RuntimeConfig config =
+      FabricConfig(3, DrainPolicy::kEager, /*threaded=*/false);
   const RuntimeResult a = RunSharded(g, log, /*adaptive=*/true, config);
   const RuntimeResult b = RunSharded(g, log, /*adaptive=*/true, config);
 
-  // With staleness 0 the inline fallback serves on a fixed schedule, so
-  // even the eager policy is reproducible there.
+  // The inline fallback serves on a fixed schedule, so even the eager
+  // policy is reproducible there.
   ExpectCountersEq(a.counters, b.counters);
   for (std::size_t s = 0; s < a.shard_counters.size(); ++s) {
     ExpectCountersEq(a.shard_counters[s], b.shard_counters[s]);
@@ -822,36 +723,12 @@ TEST(FabricRuntimeTest, EagerActuallyServesSubEpoch) {
 
   const RuntimeResult result = RunSharded(
       g, log, /*adaptive=*/false,
-      FabricConfig(3, FabricTransport::kSpsc, DrainPolicy::kEager,
-                   /*threaded=*/false));
+      FabricConfig(3, DrainPolicy::kEager, /*threaded=*/false));
   EXPECT_GT(result.totals.eager_drains, 0u);
   EXPECT_EQ(result.totals.requests, result.expected_requests);
 }
 
-TEST(FabricRuntimeTest, EagerWithHugeStalenessDegeneratesToEpoch) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g, 0.5);
-
-  RuntimeConfig eager = FabricConfig(3, FabricTransport::kSpsc,
-                                     DrainPolicy::kEager, /*threaded=*/false);
-  eager.staleness_micros = ~std::uint64_t{0} / 2000;  // never reached
-  const RuntimeConfig epoch = FabricConfig(
-      3, FabricTransport::kSpsc, DrainPolicy::kEpoch, /*threaded=*/false);
-
-  const RuntimeResult a = RunSharded(g, log, /*adaptive=*/true, eager);
-  const RuntimeResult b = RunSharded(g, log, /*adaptive=*/true, epoch);
-
-  // Nothing ever ages past the bound, so every slice waits for the
-  // boundary drain and the run is bit-identical to the epoch policy.
-  EXPECT_EQ(a.totals.eager_drains, 0u);
-  ExpectCountersEq(a.counters, b.counters);
-  for (std::size_t s = 0; s < a.shard_counters.size(); ++s) {
-    ExpectCountersEq(a.shard_counters[s], b.shard_counters[s]);
-    ExpectStatsEq(a.shard_stats[s], b.shard_stats[s]);
-  }
-}
-
-TEST(FabricRuntimeTest, PayloadModeCoherentUnderEagerMutexTransport) {
+TEST(FabricRuntimeTest, PayloadModeCoherentUnderEagerDrain) {
   const auto g = TestGraph(400);
   const auto log = TestLog(g, 0.5);
 
@@ -864,9 +741,8 @@ TEST(FabricRuntimeTest, PayloadModeCoherentUnderEagerMutexTransport) {
     persist.Append({u, 0, "seed"});
   }
 
-  ShardedRuntime runtime(
-      g, fx.topo, fx.placement, fx.engine,
-      FabricConfig(2, FabricTransport::kMutex, DrainPolicy::kEager));
+  ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine,
+                         FabricConfig(2, DrainPolicy::kEager));
   runtime.AttachPersistentStore(&persist);
   const RuntimeResult result = runtime.Run(log);
 
@@ -1078,42 +954,15 @@ TEST(ShardedRuntimeTest, ValidationErrorsNameTheOffendingField) {
   EXPECT_NE(message_of(zero_batch).find("batch_size must be at least 1"),
             std::string::npos);
 
-  // The staleness bound is compared in nanoseconds: values above 2^64/1000
-  // µs used to be clamped silently at the use site; they are now rejected
-  // here, with the documented maximum the boundary value still accepted.
-  RuntimeConfig oversized_staleness;
-  oversized_staleness.staleness_micros = RuntimeConfig::kMaxStalenessMicros + 1;
-  EXPECT_NE(message_of(oversized_staleness)
-                .find("staleness_micros must be <= kMaxStalenessMicros"),
-            std::string::npos);
-  RuntimeConfig max_staleness;
-  max_staleness.staleness_micros = RuntimeConfig::kMaxStalenessMicros;
-  EXPECT_NO_THROW(max_staleness.Validate());
-
   // Validate folds in the auto-scaler's own checks (runtime_config.h).
   RuntimeConfig bad_scaler;
   bad_scaler.scaler.min_shards = 0;
   EXPECT_NE(message_of(bad_scaler).find("min_shards"), std::string::npos);
 
-  // ...and the placement config's: stride 0 is rejected only when placement
-  // is actually enabled (the dormant default config stays valid).
-  RuntimeConfig bad_stride;
-  bad_stride.placement.pin_threads = true;
-  bad_stride.placement.cpu_stride = 0;
-  EXPECT_NE(message_of(bad_stride).find("cpu_stride must be at least 1"),
-            std::string::npos);
-  RuntimeConfig dormant_stride;
-  dormant_stride.placement.cpu_stride = 0;  // placement off: unchecked
-  EXPECT_NO_THROW(dormant_stride.Validate());
-  RuntimeConfig first_touch_stride;
-  first_touch_stride.placement.first_touch = true;
-  first_touch_stride.placement.cpu_stride = 0;
-  EXPECT_THROW(first_touch_stride.Validate(), std::invalid_argument);
-
   EXPECT_NO_THROW(RuntimeConfig{}.Validate());  // defaults are valid
 
-  // The epoch/slot interaction is only checkable with the engine config in
-  // hand, so that message comes from the runtime's constructor.
+  // The epoch is one engine slot, which is only checkable with the engine
+  // config in hand, so that message comes from the runtime's constructor.
   const auto g = TestGraph(400);
   const RuntimeFixture fx = MakeFixture(g, BaseConfig(/*adaptive=*/false));
   core::EngineConfig zero_slot = fx.engine;
@@ -1123,22 +972,19 @@ TEST(ShardedRuntimeTest, ValidationErrorsNameTheOffendingField) {
                            RuntimeConfig{});
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("epoch_seconds rounds down to 0"),
+    EXPECT_NE(std::string(e.what()).find("slot_seconds must be positive"),
               std::string::npos);
   }
 }
 
-TEST(ShardedRuntimeTest, ValidConfigReportsRoundedEpoch) {
+TEST(ShardedRuntimeTest, EpochIsTheEngineSlot) {
   const auto g = TestGraph(400);
   const sim::ExperimentConfig config = BaseConfig(/*adaptive=*/false);
   const RuntimeFixture fx = MakeFixture(g, config);
 
-  RuntimeConfig rt_config;
-  rt_config.epoch_seconds = 1000;  // not a divisor of 3600
   const ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine,
-                               rt_config);
-  EXPECT_EQ(runtime.epoch_seconds(), 900u);  // rounded down to a divisor
-  EXPECT_STREQ(runtime.fabric().name(), "spsc");
+                               RuntimeConfig{});
+  EXPECT_EQ(runtime.epoch_seconds(), fx.engine.slot_seconds);
 }
 
 TEST(ShardedRuntimeTest, FlashOverlayConservesViewReads) {

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -117,6 +118,50 @@ TEST(ServerConfigTest, ValidatesEveryBound) {
   c = ok;
   c.flush_interval_us = 1000;
   EXPECT_NO_THROW(c.Validate());
+}
+
+// The linger's nanosecond deadline must not wrap: the largest linger that
+// cannot is accepted, one microsecond more is rejected by name.
+TEST(ServerConfigTest, FlushIntervalIsBoundedWhereTheDeadlineCouldWrap) {
+  ServerConfig c;
+  c.flush_interval_us = ServerConfig::kMaxFlushIntervalUs;
+  EXPECT_NO_THROW(c.Validate());
+  // At the bound the deadline fits for any steady-clock reading (< 2^63).
+  const std::uint64_t max_now = ~std::uint64_t{0} >> 1;
+  EXPECT_GE(max_now + c.flush_interval_us * 1000, max_now);
+  c.flush_interval_us = ServerConfig::kMaxFlushIntervalUs + 1;
+  try {
+    c.Validate();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("flush_interval_us"),
+              std::string::npos);
+  }
+  c.flush_interval_us = ~std::uint64_t{0};  // the old "never" that wrapped
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+}
+
+// A linger at the bound means "not on time": the batch waits for an
+// explicit flush instead of executing at once, and the clamped epoll
+// timeout keeps the loop serving meanwhile.
+TEST(ServerTest, MaxLingerHoldsTheBatchUntilFlushed) {
+  ServerFixture fx(2);
+  ServerConfig config;
+  config.flush_batch = 1u << 30;
+  config.flush_interval_us = ServerConfig::kMaxFlushIntervalUs;
+  Server server(*fx.runtime, config);
+  server.Start();
+
+  Client client;
+  client.Connect("127.0.0.1", server.port());
+  client.SubmitRead(0, 1);
+  client.Ship();
+  ASSERT_TRUE(Eventually([&] { return server.stats().ops_received >= 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(client.Stats().ops_executed, 0u);  // still pending
+  EXPECT_EQ(client.Flush().executed_total, 1u);
+  client.Close();
+  server.Stop();
 }
 
 TEST(ServerConfigTest, ConstructorRejectsBadConfig) {
