@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
-#include "common/rotating_counter.h"
 #include "core/registry.h"
 #include "core/utility.h"
 #include "graph/generator.h"
@@ -67,16 +66,18 @@ void BM_ClosestReplicaRouting(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosestReplicaRouting)->Arg(1)->Arg(3)->Arg(8);
 
-void BM_RotatingCounter(benchmark::State& state) {
-  common::RotatingCounter counter;
+// A view read's statistics update: one origin of a tree server's nine, with
+// a rotation every 1024 reads.
+void BM_ReplicaStatsRecordRead(benchmark::State& state) {
+  store::ReplicaStats stats(24);
   std::uint32_t i = 0;
   for (auto _ : state) {
-    counter.Add(1);
-    if (++i % 1024 == 0) counter.Rotate();
-    benchmark::DoNotOptimize(counter.Total());
+    stats.RecordRead(static_cast<std::uint16_t>(i % 9));
+    if (++i % 1024 == 0) stats.Rotate();
+    benchmark::DoNotOptimize(stats.TotalReads());
   }
 }
-BENCHMARK(BM_RotatingCounter);
+BENCHMARK(BM_ReplicaStatsRecordRead);
 
 void BM_EstimateProfit(benchmark::State& state) {
   const auto& topo = PaperTopo();

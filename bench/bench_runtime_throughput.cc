@@ -15,10 +15,12 @@
 // the epoch drain hides). Each policy runs with the persistent store's
 // payload mode off and on, measuring the replicated-write coherence path.
 //
-// A third section ("tuned16") runs the high-shard-count showdown: the
-// old default configuration (queue_depth=64, batch_size=128, unpinned)
-// against the tuned fast path (the committed swept defaults, pinned +
-// first-touched workers) at 16 shards, both epoch-drained. Both runs must
+// A third section ("tuned") compares the old default configuration
+// (queue_depth=64, batch_size=128, unpinned) against the tuned fast path
+// (the committed swept defaults, pinned + first-touched workers), both
+// epoch-drained, at one shard per hardware thread: pinning more workers
+// than there are CPUs stacks them on shared cores, while one worker per CPU
+// is where pinning's measured win lies (docs/benchmarks.md). Both runs must
 // conserve every request (the verdict is the process exit code); the tuned
 // run is the one results/ commits.
 //
@@ -54,7 +56,7 @@ namespace {
 // `section` disambiguates the report shapes: "sweep" rows take their
 // speedup relative to the 1-shard run of the same sweep, "drain4" rows
 // relative to the epoch-drain baseline at the same shard count and payload
-// mode, "tuned16" rows relative to the pre-PR default.
+// mode, "tuned" rows relative to the pre-PR default.
 constexpr char kCsvHeader[] =
     "section,workload,mode,payload,drain,shards,queue_depth,"
     "batch_size,pinned,ops_per_sec,speedup,p50_us,p99_us,p999_us,"
@@ -90,7 +92,7 @@ const char* DrainName(rt::DrainPolicy d) {
 }
 
 struct RunRow {
-  std::string label;  // tuned16 rows: the configuration's name
+  std::string label;  // tuned rows: the configuration's name
   std::uint32_t shards = 0;
   bool payload = false;
   rt::DrainPolicy drain = rt::DrainPolicy::kEpoch;
@@ -318,7 +320,7 @@ bool RunTunedComparison(WorkloadCase wc, std::uint32_t shards,
                   common::TablePrinter::Fmt(row.completion.p50_us, 1),
                   common::TablePrinter::Fmt(row.completion.p99_us, 1),
                   row.conserved ? "yes" : "NO"});
-    AppendCsv("tuned16", "synthetic", "static", row, csv);
+    AppendCsv("tuned", "synthetic", "static", row, csv);
   }
   table.Print();
   if (!all_conserved) {
@@ -392,8 +394,8 @@ int main(int argc, char** argv) {
   RunDrainComparison(sweep_case({}, false), /*shards=*/4, &csv);
   std::printf("\n");
 
-  const bool conserved =
-      RunTunedComparison(sweep_case({}, false), /*shards=*/16, &csv);
+  const bool conserved = RunTunedComparison(
+      sweep_case({}, false), /*shards=*/std::max(1u, hc), &csv);
 
   bench::SaveCsv(args, "runtime_throughput", csv);
   return conserved ? 0 : 1;

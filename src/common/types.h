@@ -25,6 +25,11 @@ inline constexpr BrokerId kInvalidBroker =
     std::numeric_limits<BrokerId>::max();
 inline constexpr ViewId kInvalidView = std::numeric_limits<ViewId>::max();
 
+// A replica's position in its server's entry pool (store::StoreServer): a
+// handle that stays valid until that replica is erased.
+using EntryId = std::uint32_t;
+inline constexpr EntryId kNoEntry = std::numeric_limits<EntryId>::max();
+
 inline constexpr SimTime kSecondsPerHour = 3600;
 inline constexpr SimTime kSecondsPerDay = 86400;
 

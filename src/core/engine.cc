@@ -20,10 +20,10 @@ Engine::Engine(const net::Topology& topo,
     servers_.emplace_back(s, config.store);
   }
   for (ViewId v = 0; v < registry_.num_views(); ++v) {
-    for (ServerId s : registry_.info(v).replicas) {
-      const bool ok = servers_[s].Insert(v);
-      assert(ok && "initial placement exceeds server capacity");
-      (void)ok;
+    for (ReplicaRef& r : registry_.info(v).replicas) {
+      r.entry = servers_[r.server].Insert(v);
+      assert(r.entry != kNoEntry &&
+             "initial placement exceeds server capacity");
     }
   }
   rack_cache_.assign(topo.num_racks(), RackCache{});
@@ -65,7 +65,8 @@ std::uint32_t Engine::ExecuteReadPartial(UserId reader,
 
   accessed_scratch_.clear();
   for (ViewId v : targets) {
-    const ServerId s = registry_.ClosestReplica(broker, v, *topo_);
+    const ReplicaRef r = registry_.ClosestReplica(broker, v, *topo_);
+    const ServerId s = r.server;
     accessed_scratch_.push_back(s);
     ++counters_.view_reads;
     if (v == watched_view_) ++watched_reads_;
@@ -75,15 +76,15 @@ std::uint32_t Engine::ExecuteReadPartial(UserId reader,
                                net::MsgClass::kApp, t);
     }
     if (feed_out != nullptr) {
-      if (const store::ViewData* data = servers_[s].FindData(v)) {
+      if (const store::ViewData* data = servers_[s].entry_data(r.entry)) {
         const auto events = data->events();
         feed_out->insert(feed_out->end(), events.begin(), events.end());
       }
     }
     if (config_.adaptive) {
-      servers_[s].RecordRead(
-          v, topo_->OriginIndex(s, broker_rack, config_.exact_origins));
-      if (!InCooldown(v)) MaybeAdapt(v, s, t);
+      servers_[s].entry_stats(r.entry).RecordRead(
+          topo_->OriginIndex(s, broker_rack, config_.exact_origins));
+      if (!InCooldown(v)) MaybeAdapt(v, r, t);
     }
   }
 
@@ -126,22 +127,23 @@ void Engine::ExecuteWrite(UserId writer, SimTime t) {
   }
 
   accessed_scratch_.clear();
-  for (ServerId s : registry_.info(v).replicas) {
-    accessed_scratch_.push_back(s);
+  for (const ReplicaRef& r : registry_.info(v).replicas) {
+    accessed_scratch_.push_back(r.server);
     ++counters_.replica_updates;
-    traffic_.RecordRoundTrip(topo_->PathBrokerServer(broker, s),
+    traffic_.RecordRoundTrip(topo_->PathBrokerServer(broker, r.server),
                              config_.traffic.app_msg_size, net::MsgClass::kApp,
                              t);
-    if (config_.adaptive) servers_[s].RecordWrite(v);
+    store::StoreServer& server = servers_[r.server];
+    if (config_.adaptive) server.entry_stats(r.entry).RecordWrite();
     if (!new_version.empty()) {
-      if (store::ViewData* data = servers_[s].FindData(v)) {
+      if (store::ViewData* data = server.entry_data(r.entry)) {
         data->ReplaceWith(new_version);
       }
     }
   }
 
   if (config_.adaptive && config_.enable_proxy_migration) {
-    MaybeMigrateWriteProxy(writer, t);
+    MaybeMigrateWriteProxy(writer, accessed_scratch_, t);
   }
 }
 
@@ -151,10 +153,11 @@ void Engine::ApplyReplicatedWrite(ViewId v, SimTime t) {
   if (persist_ != nullptr && config_.store.payload_mode) {
     new_version = persist_->FetchView(v);
   }
-  for (ServerId s : registry_.info(v).replicas) {
-    if (config_.adaptive) servers_[s].RecordWrite(v);
+  for (const ReplicaRef& r : registry_.info(v).replicas) {
+    store::StoreServer& server = servers_[r.server];
+    if (config_.adaptive) server.entry_stats(r.entry).RecordWrite();
     if (!new_version.empty()) {
-      if (store::ViewData* data = servers_[s].FindData(v)) {
+      if (store::ViewData* data = server.entry_data(r.entry)) {
         data->ReplaceWith(new_version);
       }
     }
@@ -217,16 +220,17 @@ void Engine::MaybeMigrateReadProxy(UserId u,
   ++counters_.read_proxy_migrations;
 }
 
-void Engine::MaybeMigrateWriteProxy(UserId u, SimTime t) {
+void Engine::MaybeMigrateWriteProxy(UserId u,
+                                    std::span<const ServerId> holders,
+                                    SimTime t) {
   ViewInfo& info = registry_.info(u);
-  const BrokerId best =
-      BestBrokerFor(registry_.info(u).replicas, info.write_proxy);
+  const BrokerId best = BestBrokerFor(holders, info.write_proxy);
   if (best == info.write_proxy) return;
   // State transfer plus a notification to every replica server, which store
   // their write proxy's location (§3.2).
   traffic_.Record(topo_->PathBrokerBroker(info.write_proxy, best),
                   config_.traffic.sys_msg_size, net::MsgClass::kSystem, t);
-  for (ServerId s : info.replicas) {
+  for (ServerId s : holders) {
     traffic_.Record(topo_->PathBrokerServer(best, s),
                     config_.traffic.sys_msg_size, net::MsgClass::kSystem, t);
   }
@@ -301,9 +305,9 @@ Engine::OriginScan Engine::ScanOrigin(ServerId owner, std::uint16_t origin,
   return scan;
 }
 
-void Engine::MaybeAdapt(ViewId v, ServerId s, SimTime t) {
-  if (config_.enable_replication && TryReplicate(v, s, t)) return;
-  if (config_.enable_migration) TryMigrate(v, s, t);
+void Engine::MaybeAdapt(ViewId v, ReplicaRef r, SimTime t) {
+  if (config_.enable_replication && TryReplicate(v, r, t)) return;
+  if (config_.enable_migration) TryMigrate(v, r, t);
 }
 
 double Engine::ReplicationBound(ServerId s, std::uint16_t origin,
@@ -326,13 +330,13 @@ double Engine::ReplicationBound(ServerId s, std::uint16_t origin,
   return bound;
 }
 
-bool Engine::TryReplicate(ViewId v, ServerId s, SimTime t) {
-  const store::ReplicaStats* stats = servers_[s].Find(v);
-  assert(stats != nullptr);
-  stats->CollectReads(origin_scratch_);
+bool Engine::TryReplicate(ViewId v, ReplicaRef r, SimTime t) {
+  const ServerId s = r.server;
+  const store::ReplicaStats& stats = servers_[s].entry_stats(r.entry);
+  stats.CollectReads(origin_scratch_);
   if (origin_scratch_.empty()) return false;
 
-  const double writes = stats->TotalWrites();
+  const double writes = stats.TotalWrites();
   const RackId wrack = write_rack(v);
 
   double best_profit = 0;
@@ -363,25 +367,25 @@ bool Engine::TryReplicate(ViewId v, ServerId s, SimTime t) {
     }
   }
   if (best_target == kInvalidServer) return false;
-  CreateReplica(v, best_target, s, t, /*move_stats=*/false, best_origin);
+  CreateReplica(v, best_target, r, t, /*move_stats=*/false, best_origin);
   ++counters_.replicas_created;
   return true;
 }
 
-void Engine::TryMigrate(ViewId v, ServerId s, SimTime t) {
-  const store::ReplicaStats* stats = servers_[s].Find(v);
-  assert(stats != nullptr);
+void Engine::TryMigrate(ViewId v, ReplicaRef r, SimTime t) {
+  const ServerId s = r.server;
+  const store::ReplicaStats& stats = servers_[s].entry_stats(r.entry);
 
   const bool pinned = Pinned(v);
-  ServerId nearest = registry_.NextClosestReplica(s, v, *topo_);
+  ServerId nearest = registry_.NextClosestReplica(s, v, *topo_).server;
   if (nearest == kInvalidServer) nearest = s;  // sole replica: compare moves
 
   // Algorithm 1 for every candidate position over one collection of the
   // reads: the reroute cost to `nearest` is the same for all of them.
   const RackId wrack = write_rack(v);
   std::vector<store::ReplicaStats::OriginReads>& origins = migrate_scratch_;
-  stats->CollectReads(origins);
-  const double writes = stats->TotalWrites();
+  stats.CollectReads(origins);
+  const double writes = stats.TotalWrites();
   const double nearest_cost =
       ReadCost(*topo_, config_.exact_origins, origins, s, nearest);
   const auto profit_at = [&](ServerId target) {
@@ -422,7 +426,7 @@ void Engine::TryMigrate(ViewId v, ServerId s, SimTime t) {
     }
     return;
   }
-  CreateReplica(v, best_position, s, t, /*move_stats=*/true);
+  CreateReplica(v, best_position, r, t, /*move_stats=*/true);
   DropReplica(v, s, t);
   ++counters_.migrations;
 }
@@ -458,11 +462,12 @@ std::span<const std::uint16_t> Engine::RemapOrigin(
   return mapped;
 }
 
-void Engine::CreateReplica(ViewId v, ServerId target, ServerId source,
+void Engine::CreateReplica(ViewId v, ServerId target, ReplicaRef from,
                            SimTime t, bool move_stats,
                            std::uint16_t seed_origin) {
   assert(!servers_[target].Full());
   assert(!servers_[target].Has(v));
+  const ServerId source = from.server;
   const BrokerId wp = registry_.info(v).write_proxy;
 
   // Replication request to the write proxy (the synchronization point for
@@ -476,41 +481,37 @@ void Engine::CreateReplica(ViewId v, ServerId target, ServerId source,
                   config_.traffic.view_copy_size, net::MsgClass::kSystem, t);
 
   registry_.ClosestReplicas(v, *topo_, closest_scratch_);
-  const bool inserted = servers_[target].Insert(v);
-  assert(inserted);
-  (void)inserted;
+  const EntryId entry = servers_[target].Insert(v);
+  assert(entry != kNoEntry);
   TouchServer(target);
-  registry_.AddReplica(v, target);
+  registry_.AddReplica(v, ReplicaRef{target, entry});
   registry_.info(v).last_change_slot = current_slot_;
   NotifyRoutingChange(v, closest_scratch_, t);
 
+  store::ReplicaStats& source_stats = servers_[source].entry_stats(from.entry);
+  store::ReplicaStats& target_stats = servers_[target].entry_stats(entry);
   if (move_stats) {
-    const store::ReplicaStats* source_stats = servers_[source].Find(v);
-    store::ReplicaStats* target_stats = servers_[target].Find(v);
-    assert(source_stats != nullptr && target_stats != nullptr);
     // Re-map origins from the source's frame to the target's: fine-grained
     // rack entries that leave the target's sub-tree collapse into its
     // aggregates, and incoming aggregates spread across their racks.
-    target_stats->MergeRemapped(*source_stats, [&](std::uint16_t origin) {
+    target_stats.MergeRemapped(source_stats, [&](std::uint16_t origin) {
       return RemapOrigin(source, target, origin);
     });
   } else if (seed_origin != kNoOrigin) {
     // The new replica takes over `seed_origin`'s reads: move that slice of
     // the access log with it so its utility reflects the traffic it now
     // serves (an empty log would read as useless at the next tick).
-    store::ReplicaStats* source_stats = servers_[source].Find(v);
-    store::ReplicaStats* target_stats = servers_[target].Find(v);
-    assert(source_stats != nullptr && target_stats != nullptr);
-    const std::uint32_t reads = source_stats->ExtractOrigin(seed_origin);
+    const std::uint32_t reads = source_stats.ExtractOrigin(seed_origin);
     if (reads > 0) {
-      target_stats->SpreadReads(reads,
-                                RemapOrigin(source, target, seed_origin));
+      target_stats.SpreadReads(reads,
+                               RemapOrigin(source, target, seed_origin));
     }
   }
 
   if (config_.store.payload_mode) {
-    const store::ViewData* source_data = servers_[source].FindData(v);
-    store::ViewData* target_data = servers_[target].FindData(v);
+    const store::ViewData* source_data =
+        servers_[source].entry_data(from.entry);
+    store::ViewData* target_data = servers_[target].entry_data(entry);
     if (source_data != nullptr && target_data != nullptr) {
       target_data->ReplaceWith(source_data->events());
     }
@@ -531,16 +532,16 @@ void Engine::DropReplica(ViewId v, ServerId s, SimTime t) {
   // access history travels there (piggybacked on the eviction messages) so
   // the surviving replica's utility stays accurate instead of the window
   // restarting from zero.
-  const ServerId heir = registry_.NextClosestReplica(s, v, *topo_);
-  if (heir != kInvalidServer) {
+  const ReplicaRef heir = registry_.NextClosestReplica(s, v, *topo_);
+  if (heir.server != kInvalidServer) {
     const store::ReplicaStats* from = servers_[s].Find(v);
-    store::ReplicaStats* to = servers_[heir].Find(v);
-    if (from != nullptr && to != nullptr) {
-      to->MergeRemapped(
-          *from,
-          [&](std::uint16_t origin) { return RemapOrigin(s, heir, origin); },
-          /*include_writes=*/false);
-    }
+    assert(from != nullptr);
+    servers_[heir.server].entry_stats(heir.entry).MergeRemapped(
+        *from,
+        [&](std::uint16_t origin) {
+          return RemapOrigin(s, heir.server, origin);
+        },
+        /*include_writes=*/false);
   }
 
   registry_.ClosestReplicas(v, *topo_, closest_scratch_);
@@ -561,15 +562,16 @@ ViewStateSnapshot Engine::ExportViewState(ViewId v) const {
   snap.write_proxy = info.write_proxy;
   snap.last_change_slot = info.last_change_slot;
   snap.replicas.reserve(info.replicas.size());
-  for (ServerId s : info.replicas) {
-    const store::ReplicaStats* stats = servers_[s].Find(v);
+  for (const ReplicaRef& r : info.replicas) {
+    const store::StoreServer& server = servers_[r.server];
+    const store::ReplicaStats* stats = server.Find(v);
     assert(stats != nullptr);
     ViewStateSnapshot::Replica replica;
-    replica.server = s;
+    replica.server = r.server;
     replica.stats = *stats;
-    replica.utility = servers_[s].utility(v);
+    replica.utility = server.utility(v);
     if (config_.store.payload_mode) {
-      if (const store::ViewData* data = servers_[s].FindData(v)) {
+      if (const store::ViewData* data = server.FindData(v)) {
         const auto events = data->events();
         replica.events.assign(events.begin(), events.end());
       }
@@ -582,23 +584,21 @@ ViewStateSnapshot Engine::ExportViewState(ViewId v) const {
 void Engine::ImportViewState(const ViewStateSnapshot& snap) {
   const ViewId v = snap.view;
   ViewInfo& info = registry_.info(v);
-  for (ServerId s : info.replicas) {
-    servers_[s].Erase(v);
-    TouchServer(s);
+  for (const ReplicaRef& r : info.replicas) {
+    servers_[r.server].Erase(v);
+    TouchServer(r.server);
   }
   info.replicas.clear();
   for (const ViewStateSnapshot::Replica& replica : snap.replicas) {
-    const bool inserted = servers_[replica.server].Insert(v, /*force=*/true);
-    assert(inserted);
-    (void)inserted;
+    store::StoreServer& server = servers_[replica.server];
+    const EntryId entry = server.Insert(v, /*force=*/true);
+    assert(entry != kNoEntry);
     TouchServer(replica.server);
-    registry_.AddReplica(v, replica.server);
-    store::ReplicaStats* stats = servers_[replica.server].Find(v);
-    assert(stats != nullptr);
-    *stats = replica.stats;
-    servers_[replica.server].set_utility(v, replica.utility);
+    registry_.AddReplica(v, ReplicaRef{replica.server, entry});
+    server.entry_stats(entry) = replica.stats;
+    server.set_utility(v, replica.utility);
     if (config_.store.payload_mode && !replica.events.empty()) {
-      if (store::ViewData* data = servers_[replica.server].FindData(v)) {
+      if (store::ViewData* data = server.entry_data(entry)) {
         data->ReplaceWith(replica.events);
       }
     }
@@ -635,7 +635,7 @@ void Engine::RecomputeUtilities(ServerId s) {
       server.set_utility_at(i, store::kInfiniteUtility);
       continue;
     }
-    const ServerId nearest = registry_.NextClosestReplica(s, v, *topo_);
+    const ServerId nearest = registry_.NextClosestReplica(s, v, *topo_).server;
     assert(nearest != kInvalidServer);
     server.set_utility_at(
         i, EstimateProfit(*topo_, config_.exact_origins, stats, s, s, nearest,
@@ -735,13 +735,12 @@ void Engine::CrashServer(ServerId s, SimTime t) {
         }
       }
       assert(target != kInvalidServer && "cluster has no space to recover");
-      const bool inserted = servers_[target].Insert(v);
-      assert(inserted);
-      (void)inserted;
+      const EntryId entry = servers_[target].Insert(v);
+      assert(entry != kNoEntry);
       TouchServer(target);
-      registry_.AddReplica(v, target);
+      registry_.AddReplica(v, ReplicaRef{target, entry});
       if (config_.store.payload_mode && persist_ != nullptr) {
-        if (store::ViewData* data = servers_[target].FindData(v)) {
+        if (store::ViewData* data = servers_[target].entry_data(entry)) {
           data->ReplaceWith(persist_->FetchView(v));
         }
       }
@@ -759,12 +758,12 @@ ViewId Engine::AddUser() {
   for (ServerId s = 1; s < servers_.size(); ++s) {
     if (servers_[s].used() < servers_[target].used()) target = s;
   }
-  const bool inserted = servers_[target].Insert(registry_.num_views());
-  assert(inserted && "no capacity for a new user");
-  (void)inserted;
+  const EntryId entry = servers_[target].Insert(registry_.num_views());
+  assert(entry != kNoEntry && "no capacity for a new user");
   TouchServer(target);
   return registry_.AddView(
-      target, topo_->broker_of_rack(topo_->rack_of_server(target)));
+      ReplicaRef{target, entry},
+      topo_->broker_of_rack(topo_->rack_of_server(target)));
 }
 
 }  // namespace dynasore::core

@@ -268,24 +268,25 @@ class Engine {
   // holders of `v`).
   ServerId RackCandidate(RackId r, ViewId v) const;
 
-  void MaybeAdapt(ViewId v, ServerId s, SimTime t);
-  bool TryReplicate(ViewId v, ServerId s, SimTime t);  // Algorithm 2
+  // `r` is the replica that just served a read of `v`.
+  void MaybeAdapt(ViewId v, ReplicaRef r, SimTime t);
+  bool TryReplicate(ViewId v, ReplicaRef r, SimTime t);  // Algorithm 2
   // Upper bound on the profit TryReplicate can find for `origin`: the best
   // any rack of the origin could give, whatever ScanOrigin would return.
   double ReplicationBound(ServerId s, std::uint16_t origin,
                           std::uint32_t reads, double writes, RackId wrack,
                           int cost_here) const;
-  void TryMigrate(ViewId v, ServerId s, SimTime t);    // Algorithm 3
+  void TryMigrate(ViewId v, ReplicaRef r, SimTime t);  // Algorithm 3
 
   static constexpr std::uint16_t kNoOrigin = 0xFFFF;
 
-  // Creates a replica of `v` on `target`, copied from `source`. With
+  // Creates a replica of `v` on `target`, copied from replica `from`. With
   // `move_stats` the whole access log migrates (Algorithm 3); with a
   // `seed_origin` only that origin's read history moves (Algorithm 2: the
   // new replica takes over exactly that origin's traffic, so starting it
   // with an empty log would get it dropped as useless at the next tick and
   // recreated on the next read — a thrash loop).
-  void CreateReplica(ViewId v, ServerId target, ServerId source, SimTime t,
+  void CreateReplica(ViewId v, ServerId target, ReplicaRef from, SimTime t,
                      bool move_stats, std::uint16_t seed_origin = kNoOrigin);
   // The origins of `target` that `source`'s `origin` covers. The span
   // aliases a scratch buffer that the next call overwrites.
@@ -299,7 +300,9 @@ class Engine {
 
   void MaybeMigrateReadProxy(UserId u, std::span<const ServerId> accessed,
                              SimTime t);
-  void MaybeMigrateWriteProxy(UserId u, SimTime t);
+  // `holders` are the servers of u's view's replicas, in registry order.
+  void MaybeMigrateWriteProxy(UserId u, std::span<const ServerId> holders,
+                              SimTime t);
   BrokerId BestBrokerFor(std::span<const ServerId> accessed,
                          BrokerId current) const;
 

@@ -10,9 +10,12 @@ ViewRegistry::ViewRegistry(const place::PlacementResult& placement,
   views_.resize(placement.replicas.size());
   for (ViewId v = 0; v < views_.size(); ++v) {
     ViewInfo& info = views_[v];
-    info.replicas = placement.replicas[v];
-    assert(std::is_sorted(info.replicas.begin(), info.replicas.end()));
-    assert(!info.replicas.empty());
+    const std::vector<ServerId>& servers = placement.replicas[v];
+    assert(std::is_sorted(servers.begin(), servers.end()));
+    assert(!servers.empty());
+    // Entries are filled in when the engine stores the replicas.
+    info.replicas.reserve(servers.size());
+    for (ServerId s : servers) info.replicas.push_back(ReplicaRef{s});
     const BrokerId broker =
         topo.broker_of_rack(topo.rack_of_server(placement.master[v]));
     info.read_proxy = broker;
@@ -20,9 +23,22 @@ ViewRegistry::ViewRegistry(const place::PlacementResult& placement,
   }
 }
 
+namespace {
+
+// First replica whose server is not below `s`.
+std::vector<ReplicaRef>::const_iterator LowerBound(
+    const std::vector<ReplicaRef>& replicas, ServerId s) {
+  return std::lower_bound(
+      replicas.begin(), replicas.end(), s,
+      [](const ReplicaRef& r, ServerId id) { return r.server < id; });
+}
+
+}  // namespace
+
 bool ViewRegistry::HasReplica(ViewId v, ServerId s) const {
   const auto& r = views_[v].replicas;
-  return std::binary_search(r.begin(), r.end(), s);
+  const auto it = LowerBound(r, s);
+  return it != r.end() && it->server == s;
 }
 
 // Routing by id ranges. Distances take one value per tier (tree: 1 inside
@@ -34,20 +50,21 @@ bool ViewRegistry::HasReplica(ViewId v, ServerId s) const {
 // replica.
 namespace {
 
-// Lowest replica in [lo, hi) other than `skip`, or kInvalidServer.
-ServerId FirstIn(const std::vector<ServerId>& replicas, ServerId lo,
-                 ServerId hi, ServerId skip) {
-  auto it = std::lower_bound(replicas.begin(), replicas.end(), lo);
-  if (it != replicas.end() && *it == skip) ++it;
-  return it != replicas.end() && *it < hi ? *it : kInvalidServer;
+// Lowest replica in [lo, hi) other than `skip`, or server kInvalidServer.
+ReplicaRef FirstIn(const std::vector<ReplicaRef>& replicas, ServerId lo,
+                   ServerId hi, ServerId skip) {
+  auto it = LowerBound(replicas, lo);
+  if (it != replicas.end() && it->server == skip) ++it;
+  return it != replicas.end() && it->server < hi ? *it : ReplicaRef{};
 }
 
 // Closest replica to a machine in `rack`, other than `skip`.
-ServerId ClosestFromRack(const std::vector<ServerId>& replicas, RackId rack,
-                         ServerId skip, const net::Topology& topo) {
-  ServerId best = FirstIn(replicas, topo.rack_server_begin(rack),
-                          topo.rack_server_end(rack), skip);
-  if (best == kInvalidServer && !topo.is_flat()) {
+ReplicaRef ClosestFromRack(const std::vector<ReplicaRef>& replicas,
+                           RackId rack, ServerId skip,
+                           const net::Topology& topo) {
+  ReplicaRef best = FirstIn(replicas, topo.rack_server_begin(rack),
+                            topo.rack_server_end(rack), skip);
+  if (best.server == kInvalidServer && !topo.is_flat()) {
     const std::uint16_t per_int = topo.racks_per_intermediate();
     const auto first =
         static_cast<RackId>(topo.intermediate_of_rack(rack) * per_int);
@@ -55,7 +72,7 @@ ServerId ClosestFromRack(const std::vector<ServerId>& replicas, RackId rack,
                    topo.rack_server_end(static_cast<RackId>(first + per_int - 1)),
                    skip);
   }
-  if (best == kInvalidServer) {
+  if (best.server == kInvalidServer) {
     best = FirstIn(replicas, 0, topo.num_servers(), skip);
   }
   return best;
@@ -63,8 +80,8 @@ ServerId ClosestFromRack(const std::vector<ServerId>& replicas, RackId rack,
 
 }  // namespace
 
-ServerId ViewRegistry::ClosestReplica(BrokerId b, ViewId v,
-                                      const net::Topology& topo) const {
+ReplicaRef ViewRegistry::ClosestReplica(BrokerId b, ViewId v,
+                                        const net::Topology& topo) const {
   assert(!views_[v].replicas.empty());
   return ClosestFromRack(views_[v].replicas, topo.rack_of_broker(b),
                          kInvalidServer, topo);
@@ -74,9 +91,11 @@ void ViewRegistry::ClosestReplicas(ViewId v, const net::Topology& topo,
                                    std::vector<ServerId>& out) const {
   const auto& replicas = views_[v].replicas;
   assert(!replicas.empty());
-  out.assign(topo.num_brokers(), replicas.front());
+  out.assign(topo.num_brokers(), replicas.front().server);
   if (topo.is_flat()) {
-    for (ServerId s : replicas) out[topo.broker_of_rack(s)] = s;
+    for (const ReplicaRef& r : replicas) {
+      out[topo.broker_of_rack(r.server)] = r.server;
+    }
     return;
   }
   // Ascending ids meet each sub-tree's replicas as one run, and each rack's
@@ -85,7 +104,8 @@ void ViewRegistry::ClosestReplicas(ViewId v, const net::Topology& topo,
   const std::uint16_t per_int = topo.racks_per_intermediate();
   std::uint16_t last_int = 0xFFFF;
   RackId last_rack = 0xFFFF;
-  for (ServerId s : replicas) {
+  for (const ReplicaRef& r : replicas) {
+    const ServerId s = r.server;
     const RackId rack = topo.rack_of_server(s);
     const std::uint16_t i = topo.intermediate_of_rack(rack);
     if (i != last_int) {
@@ -102,26 +122,26 @@ void ViewRegistry::ClosestReplicas(ViewId v, const net::Topology& topo,
   }
 }
 
-ServerId ViewRegistry::NextClosestReplica(ServerId s, ViewId v,
-                                          const net::Topology& topo) const {
+ReplicaRef ViewRegistry::NextClosestReplica(ServerId s, ViewId v,
+                                            const net::Topology& topo) const {
   return ClosestFromRack(views_[v].replicas, topo.rack_of_server(s), s, topo);
 }
 
-void ViewRegistry::AddReplica(ViewId v, ServerId s) {
+void ViewRegistry::AddReplica(ViewId v, ReplicaRef replica) {
   auto& r = views_[v].replicas;
-  const auto it = std::lower_bound(r.begin(), r.end(), s);
-  assert(it == r.end() || *it != s);
-  r.insert(it, s);
+  const auto it = LowerBound(r, replica.server);
+  assert(it == r.end() || it->server != replica.server);
+  r.insert(it, replica);
 }
 
 void ViewRegistry::RemoveReplica(ViewId v, ServerId s) {
   auto& r = views_[v].replicas;
-  const auto it = std::lower_bound(r.begin(), r.end(), s);
-  assert(it != r.end() && *it == s);
+  const auto it = LowerBound(r, s);
+  assert(it != r.end() && it->server == s);
   r.erase(it);
 }
 
-ViewId ViewRegistry::AddView(ServerId home, BrokerId proxy_broker) {
+ViewId ViewRegistry::AddView(ReplicaRef home, BrokerId proxy_broker) {
   ViewInfo info;
   info.replicas = {home};
   info.read_proxy = proxy_broker;

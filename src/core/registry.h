@@ -18,8 +18,16 @@
 
 namespace dynasore::core {
 
+// One replica of a view: its server and its entry in that server's store
+// (store::StoreServer::Insert), so the request path reaches the replica's
+// statistics without a search.
+struct ReplicaRef {
+  ServerId server = kInvalidServer;
+  EntryId entry = kNoEntry;
+};
+
 struct ViewInfo {
-  std::vector<ServerId> replicas;  // sorted ascending
+  std::vector<ReplicaRef> replicas;  // sorted by server, ascending
   BrokerId read_proxy = kInvalidBroker;
   BrokerId write_proxy = kInvalidBroker;
   // Slot index of the last structural change; adaptation for the view is
@@ -47,8 +55,8 @@ class ViewRegistry {
 
   // Routing policy: the replica sharing the lowest common ancestor with the
   // broker; ties break toward the lower server id (§3.2).
-  ServerId ClosestReplica(BrokerId b, ViewId v,
-                          const net::Topology& topo) const;
+  ReplicaRef ClosestReplica(BrokerId b, ViewId v,
+                            const net::Topology& topo) const;
 
   // ClosestReplica for every broker at once (out[b] for broker b), in one
   // pass over the replica list.
@@ -56,15 +64,15 @@ class ViewRegistry {
                        std::vector<ServerId>& out) const;
 
   // Closest other replica to server `s` (the "next closest replica" each
-  // replica tracks, §3.2); kInvalidServer if `s` holds the only copy.
-  ServerId NextClosestReplica(ServerId s, ViewId v,
-                              const net::Topology& topo) const;
+  // replica tracks, §3.2); server kInvalidServer if `s` holds the only copy.
+  ReplicaRef NextClosestReplica(ServerId s, ViewId v,
+                                const net::Topology& topo) const;
 
-  void AddReplica(ViewId v, ServerId s);
+  void AddReplica(ViewId v, ReplicaRef replica);
   void RemoveReplica(ViewId v, ServerId s);
 
   // Appends a freshly created view (AddUser), with `home` as only replica.
-  ViewId AddView(ServerId home, BrokerId proxy_broker);
+  ViewId AddView(ReplicaRef home, BrokerId proxy_broker);
 
   double AvgReplicas() const;
 

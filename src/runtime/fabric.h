@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -80,14 +79,6 @@ class Fabric {
   // returns false when the channel is full.
   bool TrySend(std::uint32_t src, std::uint32_t dst, WireBatch& batch) {
     return at(src, dst).TryPush(batch);
-  }
-
-  // Producer side, batched: moves as many leading elements of `batches` as
-  // currently fit onto the channel under one release store and returns the
-  // number sent. The unsent suffix is left intact for retry.
-  std::size_t TrySendBatch(std::uint32_t src, std::uint32_t dst,
-                           std::span<WireBatch> batches) {
-    return at(src, dst).TryPushBatch(batches);
   }
 
   // Consumer side: only shard `dst` may receive on (*, dst) channels.

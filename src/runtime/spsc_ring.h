@@ -8,8 +8,8 @@
 // subtraction gives the occupancy even across overflow. Capacity rounds up
 // to a power of two so indexing is a mask, not a modulo.
 //
-// Thread-safety: exactly one producer thread may call TryPush/TryPushBatch
-// and exactly one consumer thread may call TryPop/ConsumeInto. The
+// Thread-safety: exactly one producer thread may call TryPush and exactly
+// one consumer thread may call TryPop/ConsumeInto. The
 // epoch protocol's flush barrier (all producers quiesce before the drain)
 // makes "pop until empty" a stable observation for the consumer. capacity()
 // is safe from anywhere (immutable after construction); construction and
@@ -18,19 +18,17 @@
 // (construction, or an epoch-boundary fabric swap during online
 // reconfiguration).
 //
-// Batched fast path: TryPushBatch publishes N slots under ONE release store
-// and ConsumeInto claims N slots under ONE acquire load + ONE release
-// store, vs one acquire/release pair per element for TryPush/TryPop. At an
+// Batched consume: ConsumeInto claims N slots under ONE acquire load + ONE
+// release store, vs one acquire/release pair per element for TryPop. At an
 // epoch-boundary drain of a deep channel this turns N synchronized
-// operations into a single claim plus a move loop; the two APIs interleave
-// freely with the single-op ones on their respective sides.
+// operations into a single claim plus a move loop; it interleaves freely
+// with TryPop.
 #pragma once
 
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -57,27 +55,6 @@ class SpscRing {
     slots_[tail & mask_] = std::move(item);
     tail_.store(tail + 1, std::memory_order_release);
     return true;
-  }
-
-  // Producer only: batched publish. Moves as many leading elements of
-  // `items` as currently fit (possibly zero, possibly all) into the ring
-  // and publishes them with ONE release store of tail_, instead of one per
-  // element. Returns the number pushed; the unpushed suffix of `items` is
-  // left intact for retry. The consumer's matching acquire (TryPop or
-  // ConsumeInto) observes either none or all of the batch's slots.
-  std::size_t TryPushBatch(std::span<T> items) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    std::size_t free = mask_ + 1 - (tail - head_cache_);
-    if (free < items.size()) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      free = mask_ + 1 - (tail - head_cache_);
-    }
-    const std::size_t n = std::min(items.size(), free);
-    for (std::size_t i = 0; i < n; ++i) {
-      slots_[(tail + i) & mask_] = std::move(items[i]);
-    }
-    if (n != 0) tail_.store(tail + n, std::memory_order_release);
-    return n;
   }
 
   // Consumer only. Empty optional when nothing is queued right now.
@@ -121,7 +98,7 @@ class SpscRing {
   // is its only writer, so a relaxed load always returns its latest value
   // (no synchronization can be needed to read your own writes). tail_ is
   // the producer's index; the acquire here pairs with the producer's
-  // release store in TryPush/TryPushBatch, so every increment counted was a
+  // release store in TryPush, so every increment counted was a
   // fully published slot. A concurrent producer may push right after the
   // load, which makes the result a lower bound in general; at the runtime's
   // quiescent points (producers parked behind the flush barrier) no push

@@ -6,38 +6,79 @@
 namespace dynasore::store {
 
 void ReplicaStats::RecordRead(std::uint16_t origin, std::uint32_t n) {
-  CounterFor(origin).Add(n);
+  if (n == 0) return;
+  const std::size_t i = LowerBound(origin);
+  if (i == origins_ || OriginOf(words_[i]) != origin) InsertOrigin(i, origin);
+  words_[i] = Added(words_[i], n);
 }
 
-void ReplicaStats::RecordWrite(std::uint32_t n) { writes_.Add(n); }
-
 void ReplicaStats::Rotate(std::uint32_t periods) {
-  writes_.Rotate(periods);
-  for (auto& entry : reads_) entry.counter.Rotate(periods);
-  // Drop origins whose whole window emptied, keeping the scans short.
-  std::erase_if(reads_,
-                [](const OriginCounter& c) { return c.counter.IsZero(); });
+  if (periods >= counter_slots_) {
+    Clear();  // every slot of the window expires
+    return;
+  }
+  for (; periods > 0 && (origins_ > 0 || writes_ != 0); --periods) {
+    RotateOnce();
+  }
+}
+
+// The current slot of every counter becomes its newest completed slot and
+// the oldest completed slot leaves the window. All rows share the ring
+// position `oldest_`, so one rotation reads and writes one slot per row.
+void ReplicaStats::RotateOnce() {
+  const std::size_t history = counter_slots_ - 1u;
+  if (!HasHistory()) {
+    const std::size_t rows = (origins_ + 1u) * RowWords();
+    Reserve(rows);
+    words_.resize(words_.size() + rows, 0);
+  }
+  const std::size_t word = oldest_ / 4u;
+  const unsigned shift = 16u * (oldest_ % 4u);
+  const auto expire = [&](std::uint64_t hot, std::uint64_t* row) {
+    const auto expired = static_cast<std::uint16_t>(row[word] >> shift);
+    const std::uint16_t current = CurrentOf(hot);
+    if (expired != current) {
+      row[word] ^= static_cast<std::uint64_t>(expired ^ current) << shift;
+    }
+    return (static_cast<std::uint64_t>(OriginOf(hot)) << 48) |
+           (TotalOf(hot) - expired);
+  };
+  // Backwards, so that erasing an emptied origin moves no unvisited row.
+  for (std::size_t i = origins_; i-- > 0;) {
+    words_[i] = expire(words_[i], Row(i));
+    if (TotalOf(words_[i]) == 0) EraseOrigin(i);
+  }
+  writes_ = expire(writes_, Row(origins_));
+  oldest_ = static_cast<std::uint8_t>(oldest_ + 1u == history ? 0
+                                                             : oldest_ + 1u);
+  if (origins_ == 0 && writes_ == 0) Clear();  // nothing left to keep
+}
+
+void ReplicaStats::Clear() {
+  words_.clear();
+  writes_ = 0;
+  origins_ = 0;
+  oldest_ = 0;
 }
 
 std::uint32_t ReplicaStats::ReadsFrom(std::uint16_t origin) const {
-  for (const auto& entry : reads_) {
-    if (entry.origin == origin) return entry.counter.Total();
-  }
-  return 0;
+  const std::size_t i = LowerBound(origin);
+  return i != origins_ && OriginOf(words_[i]) == origin ? TotalOf(words_[i])
+                                                         : 0;
 }
 
 std::uint32_t ReplicaStats::TotalReads() const {
   std::uint32_t total = 0;
-  for (const auto& entry : reads_) total += entry.counter.Total();
+  for (std::size_t i = 0; i < origins_; ++i) total += TotalOf(words_[i]);
   return total;
 }
 
 void ReplicaStats::CollectReads(std::vector<OriginReads>& out) const {
   out.clear();
-  for (const auto& entry : reads_) {
-    if (entry.counter.Total() > 0) {
-      out.push_back(OriginReads{entry.origin, entry.counter.Total()});
-    }
+  for (std::size_t i = 0; i < origins_; ++i) {
+    // A counter whose window empties is erased by the rotation that
+    // empties it, so every word here counts at least one read.
+    out.push_back(OriginReads{OriginOf(words_[i]), TotalOf(words_[i])});
   }
 }
 
@@ -53,29 +94,56 @@ void ReplicaStats::SpreadReads(std::uint32_t reads,
       ++amount;
       --remainder;
     }
-    if (amount > 0) CounterFor(target).Add(amount);
+    RecordRead(target, amount);
   }
 }
 
 std::uint32_t ReplicaStats::ExtractOrigin(std::uint16_t origin) {
-  auto it = std::lower_bound(
-      reads_.begin(), reads_.end(), origin,
-      [](const OriginCounter& c, std::uint16_t o) { return c.origin < o; });
-  if (it == reads_.end() || it->origin != origin) return 0;
-  const std::uint32_t total = it->counter.Total();
-  reads_.erase(it);
+  const std::size_t i = LowerBound(origin);
+  if (i == origins_ || OriginOf(words_[i]) != origin) return 0;
+  const std::uint32_t total = TotalOf(words_[i]);
+  EraseOrigin(i);
   return total;
 }
 
-common::RotatingCounter& ReplicaStats::CounterFor(std::uint16_t origin) {
-  auto it = std::lower_bound(
-      reads_.begin(), reads_.end(), origin,
-      [](const OriginCounter& c, std::uint16_t o) { return c.origin < o; });
-  if (it == reads_.end() || it->origin != origin) {
-    it = reads_.insert(
-        it, OriginCounter{origin, common::RotatingCounter(counter_slots_)});
+std::size_t ReplicaStats::LowerBound(std::uint16_t origin) const {
+  const auto begin = words_.begin();
+  return static_cast<std::size_t>(
+      std::lower_bound(begin, begin + origins_,
+                       static_cast<std::uint64_t>(origin) << 48) -
+      begin);
+}
+
+void ReplicaStats::InsertOrigin(std::size_t i, std::uint16_t origin) {
+  const bool history = HasHistory();
+  const std::size_t row_words = RowWords();
+  Reserve(1 + (history ? row_words : 0));
+  if (history) {
+    words_.insert(words_.begin() + static_cast<std::ptrdiff_t>(
+                                       origins_ + i * row_words),
+                  row_words, 0);
   }
-  return it->counter;
+  words_.insert(words_.begin() + static_cast<std::ptrdiff_t>(i),
+                static_cast<std::uint64_t>(origin) << 48);
+  ++origins_;
+}
+
+void ReplicaStats::EraseOrigin(std::size_t i) {
+  if (HasHistory()) {
+    const auto row = words_.begin() + static_cast<std::ptrdiff_t>(
+                                          origins_ + i * RowWords());
+    words_.erase(row, row + static_cast<std::ptrdiff_t>(RowWords()));
+  }
+  words_.erase(words_.begin() + static_cast<std::ptrdiff_t>(i));
+  --origins_;
+}
+
+// Makes room for `words` more words, exactly: the buffer holds a handful of
+// counters, and geometric slack would cost more than the rare reallocation.
+void ReplicaStats::Reserve(std::size_t words) {
+  if (words_.size() + words > words_.capacity()) {
+    words_.reserve(words_.size() + words);
+  }
 }
 
 StoreServer::StoreServer(ServerId id, const StoreConfig& config)
@@ -83,32 +151,36 @@ StoreServer::StoreServer(ServerId id, const StoreConfig& config)
   assert(config.capacity_views > 0);
 }
 
-bool StoreServer::Insert(ViewId view, bool force) {
+EntryId StoreServer::Insert(ViewId view, bool force) {
   const auto it = std::lower_bound(views_.begin(), views_.end(), view);
-  if (it != views_.end() && *it == view) return true;
-  if (!force && Full()) return false;
-  std::uint32_t pos;
+  const auto at = it - views_.begin();
+  if (it != views_.end() && *it == view) return pool_pos_[at];
+  if (!force && Full()) return kNoEntry;
+  EntryId pos;
   if (free_.empty()) {
-    pos = static_cast<std::uint32_t>(pool_.size());
-    pool_.emplace_back(config_.counter_slots, slot_);
+    pos = static_cast<EntryId>(pool_.size());
+    pool_.emplace_back(view, config_.counter_slots, slot_);
   } else {
     pos = free_.back();
     free_.pop_back();
-    pool_[pos] = Entry(config_.counter_slots, slot_);
+    pool_[pos] = Entry(view, config_.counter_slots, slot_);
   }
   if (config_.payload_mode) {
     pool_[pos].data = std::make_unique<ViewData>(config_.max_events_per_view);
   }
-  pool_pos_.insert(pool_pos_.begin() + (it - views_.begin()), pos);
+  pool_pos_.insert(pool_pos_.begin() + at, pos);
   views_.insert(it, view);
-  return true;
+  return pos;
 }
 
 void StoreServer::Erase(ViewId view) {
   const std::size_t i = IndexOf(view);
   if (i == kAbsent) return;
   const auto at = static_cast<std::ptrdiff_t>(i);
-  EntryAt(i).data.reset();
+  Entry& entry = EntryAt(i);
+  entry.view = kInvalidView;
+  entry.stats = ReplicaStats(config_.counter_slots);
+  entry.data.reset();
   free_.push_back(pool_pos_[i]);
   views_.erase(views_.begin() + at);
   pool_pos_.erase(pool_pos_.begin() + at);
@@ -124,18 +196,6 @@ const ReplicaStats* StoreServer::Find(ViewId view) const {
   return i == kAbsent ? nullptr : &CaughtUp(EntryAt(i));
 }
 
-void StoreServer::RecordRead(ViewId view, std::uint16_t origin) {
-  const std::size_t i = IndexOf(view);
-  assert(i != kAbsent);
-  CaughtUp(EntryAt(i)).RecordRead(origin);
-}
-
-void StoreServer::RecordWrite(ViewId view) {
-  const std::size_t i = IndexOf(view);
-  assert(i != kAbsent);
-  CaughtUp(EntryAt(i)).RecordWrite();
-}
-
 double StoreServer::utility(ViewId view) const {
   const std::size_t i = IndexOf(view);
   assert(i != kAbsent);
@@ -146,11 +206,6 @@ void StoreServer::set_utility(ViewId view, double utility) {
   const std::size_t i = IndexOf(view);
   assert(i != kAbsent);
   EntryAt(i).utility = utility;
-}
-
-ViewData* StoreServer::FindData(ViewId view) {
-  const std::size_t i = IndexOf(view);
-  return i == kAbsent ? nullptr : EntryAt(i).data.get();
 }
 
 const ViewData* StoreServer::FindData(ViewId view) const {

@@ -16,7 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "common/rotating_counter.h"
 #include "common/types.h"
 #include "store/view_data.h"
 
@@ -42,22 +41,36 @@ struct StoreConfig {
 inline constexpr double kInfiniteUtility =
     std::numeric_limits<double>::infinity();
 
-// Per-replica access log: reads per origin (sparse; a tree server has at
-// most racks_per_intermediate + intermediates - 1 origins) plus writes.
+// Per-replica access log (§3.2): one rotating counter per origin of the
+// reads (sparse; a tree server has at most racks_per_intermediate +
+// intermediates - 1 origins) plus one for the writes, each a window of
+// `counter_slots` slots of 16 bits that saturate.
+//
+// Every view read updates one of these counters, so what a read touches is
+// kept apart from what only rotation needs:
+// - Hot: one 8-byte word per origin, {origin, current-slot count, window
+//   total}, sorted by origin. RecordRead, ReadsFrom, TotalReads and
+//   CollectReads read only these words, and the write counter has one too.
+// - Cold: the counter_slots - 1 completed slots of every counter, one row
+//   per origin (in hot-word order) and a last row for the writes. Rotation
+//   alone reads them. The first rotation with a non-zero current slot
+//   allocates them, so a replica whose slots never advance has none, and
+//   a rotation that leaves every counter empty drops them again.
+// Hot words and cold rows share one buffer: one allocation per replica.
 class ReplicaStats {
  public:
   explicit ReplicaStats(std::uint8_t counter_slots)
-      : writes_(counter_slots), counter_slots_(counter_slots) {}
+      : counter_slots_(counter_slots == 0 ? 1 : counter_slots) {}
 
   void RecordRead(std::uint16_t origin, std::uint32_t n = 1);
-  void RecordWrite(std::uint32_t n = 1);
+  void RecordWrite(std::uint32_t n = 1) { writes_ = Added(writes_, n); }
   // Advances every counter by `periods` slots, as that many single
   // rotations would.
   void Rotate(std::uint32_t periods = 1);
 
   std::uint32_t ReadsFrom(std::uint16_t origin) const;
   std::uint32_t TotalReads() const;
-  std::uint32_t TotalWrites() const { return writes_.Total(); }
+  std::uint32_t TotalWrites() const { return TotalOf(writes_); }
 
   // Sorted (origin, reads-in-window) pairs with non-zero counts.
   struct OriginReads {
@@ -70,20 +83,20 @@ class ReplicaStats {
   // `reads % targets.size()` targets take one read more.
   void SpreadReads(std::uint32_t reads, std::span<const std::uint16_t> targets);
 
-  // Folds another replica's statistics into this one, re-mapping each origin
-  // through `remap` (origin -> the target origins it spreads over; used on
-  // migration and eviction; see DESIGN.md §4). `include_writes` merges the
-  // write counter too — correct for migrations (the log moves wholesale) but
-  // wrong for evictions, where the surviving replica already recorded every
-  // write itself.
+  // Folds another replica's statistics into this one's current slot,
+  // re-mapping each origin through `remap` (origin -> the target origins it
+  // spreads over; used on migration and eviction; see DESIGN.md §4).
+  // `include_writes` merges the write counter too — correct for migrations
+  // (the log moves wholesale) but wrong for evictions, where the surviving
+  // replica already recorded every write itself.
   template <typename Remap>
   void MergeRemapped(const ReplicaStats& other, Remap&& remap,
                      bool include_writes = true) {
-    for (const auto& entry : other.reads_) {
-      const std::uint32_t total = entry.counter.Total();
-      if (total > 0) SpreadReads(total, remap(entry.origin));
+    for (std::size_t i = 0; i < other.origins_; ++i) {
+      const std::uint64_t word = other.words_[i];
+      SpreadReads(TotalOf(word), remap(OriginOf(word)));
     }
-    if (include_writes) writes_.Merge(other.writes_);
+    if (include_writes) RecordWrite(other.TotalWrites());
   }
 
   // Removes one origin's window and returns its read count. Used when a new
@@ -91,32 +104,65 @@ class ReplicaStats {
   std::uint32_t ExtractOrigin(std::uint16_t origin);
 
  private:
-  struct OriginCounter {
-    std::uint16_t origin;
-    common::RotatingCounter counter;
-  };
-  // Sorted by origin; linear scans are fine at these cardinalities.
-  std::vector<OriginCounter> reads_;
-  common::RotatingCounter writes_;
-  std::uint8_t counter_slots_;
+  // A hot word: origin in bits 48-63, the current slot in bits 32-47, the
+  // window total (current plus completed slots) in bits 0-31. Words sort by
+  // origin as plain integers.
+  static std::uint16_t OriginOf(std::uint64_t word) {
+    return static_cast<std::uint16_t>(word >> 48);
+  }
+  static std::uint16_t CurrentOf(std::uint64_t word) {
+    return static_cast<std::uint16_t>(word >> 32);
+  }
+  static std::uint32_t TotalOf(std::uint64_t word) {
+    return static_cast<std::uint32_t>(word);
+  }
+  // `word` with `n` more accesses in its current slot, which saturates.
+  static std::uint64_t Added(std::uint64_t word, std::uint32_t n) {
+    const std::uint32_t room = 0xFFFFu - CurrentOf(word);
+    const std::uint64_t inc = n < room ? n : room;
+    return word + (inc << 32) + inc;
+  }
 
-  common::RotatingCounter& CounterFor(std::uint16_t origin);
+  // Cold rows pack four 16-bit slots into each word.
+  std::size_t RowWords() const { return (counter_slots_ + 2u) / 4u; }
+  bool HasHistory() const { return words_.size() > origins_; }
+  std::uint64_t* Row(std::size_t i) {
+    return words_.data() + origins_ + i * RowWords();
+  }
+  std::size_t LowerBound(std::uint16_t origin) const;  // first word >= it
+  void InsertOrigin(std::size_t i, std::uint16_t origin);
+  void EraseOrigin(std::size_t i);
+  void Reserve(std::size_t words);
+  void RotateOnce();
+  void Clear();
+
+  // origins_ hot words, then, with history, origins_ + 1 cold rows.
+  std::vector<std::uint64_t> words_;
+  std::uint64_t writes_ = 0;  // the write counter's hot word (origin 0)
+  std::uint16_t origins_ = 0;
+  std::uint8_t counter_slots_;
+  std::uint8_t oldest_ = 0;  // the cold slot that expires at the next rotation
 };
 
 // The replica table is flat: view ids sorted in one contiguous array, with a
 // parallel array of positions into a pool of per-replica entries. Lookups
-// are binary searches over a few hundred ids, iteration runs in view-id
-// order (the order every maintenance decision breaks ties in), and an
-// insert or erase shifts only the two small arrays: entries never move
+// by view are binary searches over a few hundred ids, iteration runs in
+// view-id order (the order every maintenance decision breaks ties in), and
+// an insert or erase shifts only the two small arrays: entries never move
 // except when the pool grows.
+//
+// An entry's pool position (its EntryId) is therefore a stable handle to
+// the replica until the replica is erased. core::ViewRegistry keeps it next
+// to the server id in each view's replica list, so the request path reaches
+// a replica's statistics and payload without a search.
 //
 // Counters rotate lazily. AdvanceSlot starts a new statistics slot on the
 // server; each replica's window catches up on its next access (Find,
-// RecordRead, RecordWrite, stats_at), with exactly the effect an eager
-// rotation of every replica at every slot would have had. A slot change
-// therefore costs nothing for replicas nobody reads. Catching up mutates
-// only the lagging window, so the const Find does it too: like the rest of
-// the engine, a server has one thread at a time.
+// entry_stats, stats_at), with exactly the effect an eager rotation of
+// every replica at every slot would have had. A slot change therefore costs
+// nothing for replicas nobody reads. Catching up mutates only the lagging
+// window, so the const Find does it too: like the rest of the engine, a
+// server has one thread at a time.
 class StoreServer {
  public:
   StoreServer(ServerId id, const StoreConfig& config);
@@ -133,12 +179,13 @@ class StoreServer {
 
   bool Has(ViewId view) const { return IndexOf(view) != kAbsent; }
 
-  // Inserts an empty replica; fails (returns false) at capacity. `force`
-  // admits the replica even on a full server: reconfiguration imports
+  // Inserts an empty replica and returns its entry (the existing one if the
+  // view is already here), or kNoEntry at capacity. `force` admits the
+  // replica even on a full server: reconfiguration imports
   // (core::Engine::ImportViewState) mirror the authoritative owner's replica
   // set verbatim, and may transiently exceed capacity when the two engines'
   // occupancies diverged — the watermark sweep restores the bound.
-  bool Insert(ViewId view, bool force = false);
+  EntryId Insert(ViewId view, bool force = false);
   void Erase(ViewId view);
 
   // The statistics of `view`'s replica, caught up to the current slot, or
@@ -146,8 +193,13 @@ class StoreServer {
   ReplicaStats* Find(ViewId view);
   const ReplicaStats* Find(ViewId view) const;
 
-  void RecordRead(ViewId view, std::uint16_t origin);
-  void RecordWrite(ViewId view);
+  // By entry, for a live replica's EntryId (see the class comment).
+  ReplicaStats& entry_stats(EntryId entry) { return CaughtUp(pool_[entry]); }
+  ViewData* entry_data(EntryId entry) { return pool_[entry].data.get(); }
+  // The view an entry holds; kInvalidView for an erased or unused entry.
+  ViewId entry_view(EntryId entry) const {
+    return entry < pool_.size() ? pool_[entry].view : kInvalidView;
+  }
 
   // Starts the next statistics slot (see the class comment).
   void AdvanceSlot() { ++slot_; }
@@ -169,15 +221,15 @@ class StoreServer {
   ReplicaStats& stats_at(std::size_t i) { return CaughtUp(EntryAt(i)); }
 
   // Payload mode.
-  ViewData* FindData(ViewId view);
   const ViewData* FindData(ViewId view) const;
 
  private:
   struct Entry {
-    Entry(std::uint8_t slots, std::uint32_t server_slot)
-        : stats(slots), slot(server_slot) {}
+    Entry(ViewId v, std::uint8_t slots, std::uint32_t server_slot)
+        : stats(slots), slot(server_slot), view(v) {}
     mutable ReplicaStats stats;
     mutable std::uint32_t slot;  // the server slot `stats` is rotated to
+    ViewId view;                 // kInvalidView once erased
     double utility = 0;
     std::unique_ptr<ViewData> data;  // only in payload mode
   };
@@ -204,11 +256,11 @@ class StoreServer {
 
   ServerId id_;
   StoreConfig config_;
-  std::vector<ViewId> views_;            // sorted ascending
-  std::vector<std::uint32_t> pool_pos_;  // pool_[pool_pos_[i]] is views_[i]'s
+  std::vector<ViewId> views_;       // sorted ascending
+  std::vector<EntryId> pool_pos_;   // pool_[pool_pos_[i]] is views_[i]'s
   std::vector<Entry> pool_;
-  std::vector<std::uint32_t> free_;      // pool positions of erased replicas
-  std::uint32_t slot_ = 0;               // statistics slot, see AdvanceSlot
+  std::vector<EntryId> free_;       // pool positions of erased replicas
+  std::uint32_t slot_ = 0;          // statistics slot, see AdvanceSlot
   double admission_threshold_ = 0;
 };
 

@@ -9,7 +9,6 @@
 
 #include "common/latency_histogram.h"
 #include "common/rng.h"
-#include "common/rotating_counter.h"
 #include "common/stats.h"
 #include "common/table.h"
 
@@ -168,91 +167,6 @@ TEST(PowerLawTest, MeanIsFiniteAndInRange) {
   const double mean = sampler.Mean();
   EXPECT_GT(mean, 1.0);
   EXPECT_LT(mean, 500.0);
-}
-
-// ----- RotatingCounter -----
-
-TEST(RotatingCounterTest, StartsEmpty) {
-  RotatingCounter c;
-  EXPECT_EQ(c.Total(), 0u);
-  EXPECT_TRUE(c.IsZero());
-}
-
-TEST(RotatingCounterTest, AddAccumulates) {
-  RotatingCounter c;
-  c.Add(3);
-  c.Add(4);
-  EXPECT_EQ(c.Total(), 7u);
-  EXPECT_EQ(c.Current(), 7u);
-}
-
-TEST(RotatingCounterTest, WindowForgetsAfterFullRotation) {
-  RotatingCounter c(4);
-  c.Add(10);
-  for (int i = 0; i < 4; ++i) c.Rotate();
-  EXPECT_EQ(c.Total(), 0u);
-}
-
-TEST(RotatingCounterTest, PartialRotationKeepsRecent) {
-  RotatingCounter c(4);
-  c.Add(10);
-  c.Rotate();
-  c.Add(5);
-  EXPECT_EQ(c.Total(), 15u);
-  c.Rotate();
-  c.Rotate();
-  c.Rotate();  // the 10 from slot 0 falls out
-  EXPECT_EQ(c.Total(), 5u);
-  c.Rotate();  // now the 5 falls out too
-  EXPECT_EQ(c.Total(), 0u);
-}
-
-TEST(RotatingCounterTest, MultiPeriodRotateEqualsRepeatedRotate) {
-  for (std::uint32_t periods = 0; periods <= 9; ++periods) {
-    RotatingCounter stepped(4);
-    RotatingCounter jumped(4);
-    for (std::uint16_t i = 1; i <= 3; ++i) {
-      stepped.Add(i);
-      jumped.Add(i);
-      stepped.Rotate();
-      jumped.Rotate();
-    }
-    for (std::uint32_t i = 0; i < periods; ++i) stepped.Rotate();
-    jumped.Rotate(periods);
-    EXPECT_EQ(jumped.Total(), stepped.Total()) << periods;
-    // The head lands on the same slot: later adds expire together.
-    stepped.Add(7);
-    jumped.Add(7);
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(jumped.Total(), stepped.Total()) << periods << " " << i;
-      stepped.Rotate();
-      jumped.Rotate();
-    }
-  }
-}
-
-TEST(RotatingCounterTest, SaturatesInsteadOfOverflowing) {
-  RotatingCounter c(2);
-  c.Add(0xFFFFu);
-  c.Add(100);  // would overflow the 16-bit slot
-  EXPECT_EQ(c.Total(), 0xFFFFu);
-}
-
-TEST(RotatingCounterTest, MergeFoldsIntoCurrentSlot) {
-  RotatingCounter a(4);
-  RotatingCounter b(4);
-  b.Add(3);
-  b.Rotate();
-  b.Add(4);
-  a.Merge(b);
-  EXPECT_EQ(a.Total(), 7u);
-}
-
-TEST(RotatingCounterTest, ClearResets) {
-  RotatingCounter c;
-  c.Add(42);
-  c.Clear();
-  EXPECT_TRUE(c.IsZero());
 }
 
 // ----- RunningStats / Quantile / Histogram -----

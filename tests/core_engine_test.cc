@@ -137,8 +137,8 @@ TEST(AdaptiveEngineTest, RemoteReadsTriggerReplication) {
   EXPECT_EQ(engine.counters().replicas_created, 1u);
   // The new replica sits inside intermediate 1.
   bool in_int1 = false;
-  for (ServerId s : engine.registry().info(0).replicas) {
-    in_int1 |= topo.intermediate_of_server(s) == 1;
+  for (const ReplicaRef& r : engine.registry().info(0).replicas) {
+    in_int1 |= topo.intermediate_of_server(r.server) == 1;
   }
   EXPECT_TRUE(in_int1);
 }
@@ -159,8 +159,8 @@ TEST(AdaptiveEngineTest, ReplicationConvergesToReaderRack) {
   // Eventually a replica lands in the reader's rack (rack 3) and reads stop
   // crossing the tree.
   bool in_rack3 = false;
-  for (ServerId s : engine.registry().info(0).replicas) {
-    in_rack3 |= topo.rack_of_server(s) == 3;
+  for (const ReplicaRef& r : engine.registry().info(0).replicas) {
+    in_rack3 |= topo.rack_of_server(r.server) == 3;
   }
   EXPECT_TRUE(in_rack3);
   const std::uint64_t top_before =
@@ -291,7 +291,8 @@ TEST(AdaptiveEngineTest, SoleViewMigratesTowardItsReaders) {
   }
   EXPECT_EQ(engine.ReplicaCount(0), 1u);  // migration, not replication
   EXPECT_GT(engine.counters().migrations, 0u);
-  const ServerId home = engine.registry().info(0).replicas.front();
+  const ServerId home =
+      engine.registry().info(0).replicas.front().server;
   EXPECT_EQ(topo.intermediate_of_server(home), 1);
 }
 
@@ -451,10 +452,10 @@ TEST(CrashTest, SoleViewsRebuiltInSameRack) {
   }
   EXPECT_EQ(engine.counters().crash_rebuilds, 2u);
   // Rebuilt copies land in rack 0 (server 1 has space).
-  EXPECT_EQ(engine.registry().info(0).replicas.front(), 1);
+  EXPECT_EQ(engine.registry().info(0).replicas.front().server, 1);
   // The replicated view survives on server 6 without a rebuild.
   EXPECT_EQ(engine.ReplicaCount(2), 1u);
-  EXPECT_EQ(engine.registry().info(2).replicas.front(), 6);
+  EXPECT_EQ(engine.registry().info(2).replicas.front().server, 6);
   // The crashed server restarts empty.
   EXPECT_EQ(engine.server(0).used(), 0u);
 }
@@ -476,7 +477,7 @@ TEST(AddUserTest, LandsOnLeastLoadedServer) {
   const ViewId v = engine.AddUser();
   EXPECT_EQ(v, 3u);
   EXPECT_EQ(engine.ReplicaCount(v), 1u);
-  const ServerId home = engine.registry().info(v).replicas.front();
+  const ServerId home = engine.registry().info(v).replicas.front().server;
   EXPECT_GE(home, 2);  // servers 0 and 1 are the loaded ones
   EXPECT_EQ(engine.read_proxy(v),
             topo.broker_of_rack(topo.rack_of_server(home)));
@@ -508,8 +509,8 @@ TEST(InvariantTest, CapacityNeverExceededUnderChurn) {
     for (ViewId v = 0; v < 24; ++v) {
       ASSERT_GE(engine.ReplicaCount(v), 1u);
       // Registry and stores agree.
-      for (ServerId s : engine.registry().info(v).replicas) {
-        ASSERT_TRUE(engine.server(s).Has(v));
+      for (const ReplicaRef& r : engine.registry().info(v).replicas) {
+        ASSERT_TRUE(engine.server(r.server).Has(v));
       }
     }
   }

@@ -25,6 +25,14 @@ place::PlacementResult MakePlacement(
   return result;
 }
 
+std::vector<ServerId> Servers(const ViewRegistry& registry, ViewId v) {
+  std::vector<ServerId> servers;
+  for (const ReplicaRef& r : registry.info(v).replicas) {
+    servers.push_back(r.server);
+  }
+  return servers;
+}
+
 TEST(ViewRegistryTest, InitialProxiesOnMasterRack) {
   const auto topo = SmallTopo();
   const ViewRegistry registry(MakePlacement({{0}, {5}}), topo);
@@ -37,17 +45,17 @@ TEST(ViewRegistryTest, ClosestReplicaPrefersSameRack) {
   const auto topo = SmallTopo();
   // View 0 on servers 1 (rack 0) and 6 (rack 3).
   const ViewRegistry registry(MakePlacement({{1, 6}}), topo);
-  EXPECT_EQ(registry.ClosestReplica(0, 0, topo), 1);  // broker rack 0
-  EXPECT_EQ(registry.ClosestReplica(3, 0, topo), 6);  // broker rack 3
+  EXPECT_EQ(registry.ClosestReplica(0, 0, topo).server, 1);  // broker rack 0
+  EXPECT_EQ(registry.ClosestReplica(3, 0, topo).server, 6);  // broker rack 3
 }
 
 TEST(ViewRegistryTest, ClosestReplicaPrefersSameIntermediate) {
   const auto topo = SmallTopo();
   // Replicas in rack 0 (int 0) and rack 2 (int 1); broker in rack 1 (int 0).
   const ViewRegistry registry(MakePlacement({{0, 4}}), topo);
-  EXPECT_EQ(registry.ClosestReplica(1, 0, topo), 0);
+  EXPECT_EQ(registry.ClosestReplica(1, 0, topo).server, 0);
   // Broker in rack 3 (int 1) goes to rack 2's replica.
-  EXPECT_EQ(registry.ClosestReplica(3, 0, topo), 4);
+  EXPECT_EQ(registry.ClosestReplica(3, 0, topo).server, 4);
 }
 
 TEST(ViewRegistryTest, TieBreaksOnLowerServerId) {
@@ -55,7 +63,7 @@ TEST(ViewRegistryTest, TieBreaksOnLowerServerId) {
   // Two replicas both at distance 5 from broker 3... use servers 0 and 2
   // (racks 0 and 1, both intermediate 0) and broker in rack 2 (int 1).
   const ViewRegistry registry(MakePlacement({{0, 2}}), topo);
-  EXPECT_EQ(registry.ClosestReplica(2, 0, topo), 0);
+  EXPECT_EQ(registry.ClosestReplica(2, 0, topo).server, 0);
 }
 
 TEST(ViewRegistryTest, RoutingMatchesMinimumDistanceReference) {
@@ -89,7 +97,7 @@ TEST(ViewRegistryTest, RoutingMatchesMinimumDistanceReference) {
         for (ServerId s : replicas) {
           if (topo.Distance(b, s) < topo.Distance(b, want)) want = s;
         }
-        ASSERT_EQ(registry.ClosestReplica(b, v, topo), want)
+        ASSERT_EQ(registry.ClosestReplica(b, v, topo).server, want)
             << "view " << v << " broker " << b << " flat " << topo.is_flat();
         ASSERT_EQ(all[b], want)
             << "view " << v << " broker " << b << " flat " << topo.is_flat();
@@ -103,7 +111,7 @@ TEST(ViewRegistryTest, RoutingMatchesMinimumDistanceReference) {
             want = r;
           }
         }
-        ASSERT_EQ(registry.NextClosestReplica(s, v, topo), want)
+        ASSERT_EQ(registry.NextClosestReplica(s, v, topo).server, want)
             << "view " << v << " server " << s << " flat " << topo.is_flat();
       }
     }
@@ -113,25 +121,27 @@ TEST(ViewRegistryTest, RoutingMatchesMinimumDistanceReference) {
 TEST(ViewRegistryTest, NextClosestReplica) {
   const auto topo = SmallTopo();
   const ViewRegistry registry(MakePlacement({{0, 1, 4}}), topo);
-  EXPECT_EQ(registry.NextClosestReplica(0, 0, topo), 1);  // same rack
-  EXPECT_EQ(registry.NextClosestReplica(4, 0, topo), 0);  // lower id wins
+  EXPECT_EQ(registry.NextClosestReplica(0, 0, topo).server, 1);  // same rack
+  EXPECT_EQ(registry.NextClosestReplica(4, 0, topo).server, 0);  // lower id
 }
 
 TEST(ViewRegistryTest, NextClosestOfSoleReplicaIsInvalid) {
   const auto topo = SmallTopo();
   const ViewRegistry registry(MakePlacement({{3}}), topo);
-  EXPECT_EQ(registry.NextClosestReplica(3, 0, topo), kInvalidServer);
+  EXPECT_EQ(registry.NextClosestReplica(3, 0, topo).server, kInvalidServer);
 }
 
 TEST(ViewRegistryTest, AddRemoveKeepSorted) {
   const auto topo = SmallTopo();
   ViewRegistry registry(MakePlacement({{3}}), topo);
-  registry.AddReplica(0, 1);
-  registry.AddReplica(0, 7);
-  EXPECT_EQ(registry.info(0).replicas, (std::vector<ServerId>{1, 3, 7}));
+  registry.AddReplica(0, ReplicaRef{1, 10});
+  registry.AddReplica(0, ReplicaRef{7, 70});
+  EXPECT_EQ(Servers(registry, 0), (std::vector<ServerId>{1, 3, 7}));
+  EXPECT_EQ(registry.info(0).replicas[2].entry, 70u);  // handles move along
   EXPECT_TRUE(registry.HasReplica(0, 3));
   registry.RemoveReplica(0, 3);
-  EXPECT_EQ(registry.info(0).replicas, (std::vector<ServerId>{1, 7}));
+  EXPECT_EQ(Servers(registry, 0), (std::vector<ServerId>{1, 7}));
+  EXPECT_EQ(registry.info(0).replicas[1].entry, 70u);
   EXPECT_FALSE(registry.HasReplica(0, 3));
   EXPECT_EQ(registry.ReplicaCount(0), 2u);
 }
@@ -145,9 +155,9 @@ TEST(ViewRegistryTest, AvgReplicas) {
 TEST(ViewRegistryTest, AddView) {
   const auto topo = SmallTopo();
   ViewRegistry registry(MakePlacement({{0}}), topo);
-  const ViewId v = registry.AddView(5, 2);
+  const ViewId v = registry.AddView(ReplicaRef{5, 0}, 2);
   EXPECT_EQ(v, 1u);
-  EXPECT_EQ(registry.info(v).replicas, std::vector<ServerId>{5});
+  EXPECT_EQ(Servers(registry, v), std::vector<ServerId>{5});
   EXPECT_EQ(registry.info(v).read_proxy, 2);
 }
 
@@ -155,8 +165,8 @@ TEST(ViewRegistryTest, FlatTopologyRouting) {
   const auto topo = net::Topology::MakeFlat(8);
   const ViewRegistry registry(MakePlacement({{2, 5}}), topo);
   // Broker 5 is the same machine as server 5: distance 0 beats 1.
-  EXPECT_EQ(registry.ClosestReplica(5, 0, topo), 5);
-  EXPECT_EQ(registry.ClosestReplica(0, 0, topo), 2);  // tie at 1, lower id
+  EXPECT_EQ(registry.ClosestReplica(5, 0, topo).server, 5);
+  EXPECT_EQ(registry.ClosestReplica(0, 0, topo).server, 2);  // tie at 1
 }
 
 }  // namespace

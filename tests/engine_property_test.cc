@@ -18,6 +18,16 @@
 namespace dynasore::core {
 namespace {
 
+// Every registry handle names the entry of that view on that server.
+void ExpectHandlesName(const Engine& engine) {
+  for (ViewId v = 0; v < engine.registry().num_views(); ++v) {
+    for (const ReplicaRef& r : engine.registry().info(v).replicas) {
+      ASSERT_EQ(engine.server(r.server).entry_view(r.entry), v)
+          << "view " << v << " server " << r.server << " entry " << r.entry;
+    }
+  }
+}
+
 struct WorkloadCase {
   net::TreeConfig tree;
   std::uint32_t num_views;
@@ -61,7 +71,10 @@ void DriveAndCheck(Engine& engine, const net::Topology& topo,
     }
     std::uint64_t registry_total = 0;
     for (ViewId v = 0; v < num_views; ++v) {
-      const auto& replicas = engine.registry().info(v).replicas;
+      std::vector<ServerId> replicas;
+      for (const ReplicaRef& r : engine.registry().info(v).replicas) {
+        replicas.push_back(r.server);
+      }
       ASSERT_TRUE(std::is_sorted(replicas.begin(), replicas.end()));
       ASSERT_TRUE(std::adjacent_find(replicas.begin(), replicas.end()) ==
                   replicas.end())
@@ -73,6 +86,7 @@ void DriveAndCheck(Engine& engine, const net::Topology& topo,
       }
     }
     ASSERT_EQ(store_total, registry_total);
+    ExpectHandlesName(engine);
     // Invariant 3: proxies are valid brokers.
     for (ViewId v = 0; v < num_views; ++v) {
       ASSERT_LT(engine.read_proxy(v), topo.num_brokers());
@@ -189,10 +203,11 @@ TEST_P(CrashStormTest, NoViewEverLost) {
     for (ViewId v = 0; v < num_views; ++v) {
       ASSERT_GE(engine.ReplicaCount(v), 1u)
           << "view " << v << " lost after crashing server " << victim;
-      for (ServerId s : engine.registry().info(v).replicas) {
-        ASSERT_TRUE(engine.server(s).Has(v));
+      for (const ReplicaRef& r : engine.registry().info(v).replicas) {
+        ASSERT_TRUE(engine.server(r.server).Has(v));
       }
     }
+    ExpectHandlesName(engine);
     engine.Tick(t);
   }
 }
@@ -254,6 +269,46 @@ TEST(BatchingTest, SameViewReadsFewerMessages) {
   const auto batched = run(true);
   EXPECT_EQ(per_view.first, batched.first);   // same views fetched
   EXPECT_GT(per_view.second, batched.second);  // more bytes on the wire
+}
+
+// The replica handles in the registry follow every structural change:
+// replication, migration, drops, a crash, a state hand-off between engines
+// and a new user.
+TEST(ReplicaHandleTest, FollowEveryReplicaSetChange) {
+  const auto topo = net::Topology::MakeTree(net::TreeConfig{2, 3, 4});
+  const std::uint32_t num_views = 150;
+  const std::uint32_t capacity = 20;
+  const auto placement = place::RandomPlacement(num_views, topo, capacity, 5);
+  EngineConfig config;
+  config.store.capacity_views = capacity;
+  Engine engine(topo, placement, config);
+  Engine peer(topo, placement, config);
+
+  DriveAndCheck(engine, topo, num_views, 21, /*hours=*/6);
+  DriveAndCheck(peer, topo, num_views, 22, /*hours=*/6);
+  ASSERT_GT(engine.counters().replicas_created, 0u);
+  ASSERT_GT(engine.counters().migrations, 0u);
+  ASSERT_GT(engine.counters().replicas_dropped, 0u);
+  ExpectHandlesName(engine);
+
+  engine.CrashServer(3, 100000);
+  ExpectHandlesName(engine);
+
+  // The peer's state of every third view replaces the engine's.
+  std::vector<ViewId> moved;
+  for (ViewId v = 0; v < num_views; v += 3) moved.push_back(v);
+  engine.ImportViewStates(peer.ExportViewStates(moved));
+  ExpectHandlesName(engine);
+  for (ViewId v : moved) {
+    ASSERT_EQ(engine.ReplicaCount(v), peer.ReplicaCount(v));
+  }
+
+  const ViewId added = engine.AddUser();
+  ExpectHandlesName(engine);
+  const std::vector<ViewId> targets{added, 0, 1};
+  engine.ExecuteRead(0, targets, 100100);
+  engine.ExecuteWrite(added, 100100);
+  ExpectHandlesName(engine);
 }
 
 // Durability mode (min_replicas_pin = R) must maintain R copies wherever

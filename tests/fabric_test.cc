@@ -61,27 +61,7 @@ TEST(SpscRingTest, WrapsAroundManyTimes) {
   EXPECT_FALSE(ring.TryPop().has_value());
 }
 
-// ----- Batched producer/consumer APIs -----
-
-TEST(SpscRingTest, TryPushBatchTakesPrefixWhenPartiallyFull) {
-  SpscRing<int> ring(4);  // capacity 4
-  int seed = 100;
-  ASSERT_TRUE(ring.TryPush(seed));
-
-  std::vector<int> items{0, 1, 2, 3, 4, 5};
-  // Only 3 slots remain: the leading 3 are pushed, the suffix stays intact.
-  EXPECT_EQ(ring.TryPushBatch(items), 3u);
-  EXPECT_EQ(items[3], 3);
-  EXPECT_EQ(items[4], 4);
-  EXPECT_EQ(items[5], 5);
-
-  // Full ring: a batched push accepts nothing.
-  EXPECT_EQ(ring.TryPushBatch(std::span<int>(items).subspan(3)), 0u);
-
-  EXPECT_EQ(ring.TryPop(), 100);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(ring.TryPop(), i);
-  EXPECT_FALSE(ring.TryPop().has_value());
-}
+// ----- Batched consumer API -----
 
 TEST(SpscRingTest, ConsumeIntoHonorsMaxAndEmptyRing) {
   SpscRing<int> ring(8);
@@ -104,13 +84,13 @@ TEST(SpscRingTest, BatchedOpsWrapAroundManyTimes) {
   SpscRing<std::uint64_t> ring(4);  // free-running indices wrap the mask often
   std::uint64_t next_push = 0;
   std::uint64_t next_pop = 0;
-  std::vector<std::uint64_t> staged;
   std::vector<std::uint64_t> out;
   for (int round = 0; round < 500; ++round) {
-    staged.clear();
     const std::uint64_t burst = 1 + round % 4;
-    for (std::uint64_t k = 0; k < burst; ++k) staged.push_back(next_push++);
-    ASSERT_EQ(ring.TryPushBatch(staged), burst);
+    for (std::uint64_t k = 0; k < burst; ++k) {
+      std::uint64_t v = next_push++;
+      ASSERT_TRUE(ring.TryPush(v));
+    }
     out.clear();
     ASSERT_EQ(ring.ConsumeInto(out, burst), burst);
     for (std::uint64_t v : out) ASSERT_EQ(v, next_pop++);
@@ -125,19 +105,11 @@ TEST(SpscRingTest, BatchedAndSingleOpApisInterleave) {
   std::uint64_t next_pop = 0;
   std::vector<std::uint64_t> out;
   for (int round = 0; round < 200; ++round) {
-    // Alternate publish styles on the producer side...
-    if (round % 2 == 0) {
-      std::vector<std::uint64_t> staged{next_push, next_push + 1,
-                                        next_push + 2};
-      ASSERT_EQ(ring.TryPushBatch(staged), 3u);
-      next_push += 3;
-    } else {
-      std::uint64_t v = next_push;
+    for (int k = 0; k <= round % 3; ++k) {
+      std::uint64_t v = next_push++;
       ASSERT_TRUE(ring.TryPush(v));
-      ++next_push;
     }
-    // ...and consume styles on the consumer side; FIFO order must hold
-    // across every combination.
+    // Alternate consume styles; FIFO order must hold across them.
     if (round % 3 == 0) {
       out.clear();
       ring.ConsumeInto(out, 2);
@@ -177,32 +149,20 @@ TEST(SpscRingTest, SizeIsExactAtQuiescentPoints) {
   EXPECT_EQ(ring.Size(), 0u);
 }
 
-// The batched TSan target: producer publishes in variable-size bursts via
-// TryPushBatch, consumer claims via ConsumeInto, mixing in single-op calls
-// on both sides — order and completeness checked under real concurrency.
-TEST(SpscRingTest, BatchedProducerConsumerDeliversEverythingInOrder) {
+// The batched-consumer TSan target: the producer pushes one at a time, as
+// the runtime's senders do, and the consumer claims via ConsumeInto, mixing
+// in TryPop — order and completeness checked under real concurrency.
+TEST(SpscRingTest, ProducerAndBatchedConsumerDeliverEverythingInOrder) {
   SpscRing<std::uint64_t> ring(16);
   constexpr std::uint64_t kItems = 20000;
   std::thread producer([&] {
-    std::uint64_t next = 0;
-    std::vector<std::uint64_t> staged;
-    while (next < kItems) {
-      if (next % 7 == 0) {  // sprinkle single-op pushes between batches
-        std::uint64_t v = next;
-        if (ring.TryPush(v)) {
-          ++next;
-        } else {
-          std::this_thread::yield();  // single-core containers
-        }
-        continue;
+    for (std::uint64_t next = 0; next < kItems;) {
+      std::uint64_t v = next;
+      if (ring.TryPush(v)) {
+        ++next;
+      } else {
+        std::this_thread::yield();  // single-core containers
       }
-      staged.clear();
-      const std::uint64_t burst = std::min<std::uint64_t>(
-          1 + next % 5, kItems - next);
-      for (std::uint64_t k = 0; k < burst; ++k) staged.push_back(next + k);
-      const std::size_t sent = ring.TryPushBatch(staged);
-      next += sent;
-      if (sent == 0) std::this_thread::yield();
     }
   });
   std::uint64_t expected = 0;
@@ -323,13 +283,12 @@ TEST(FabricTest, TrySendFailsWhenFullAndKeepsBatch) {
   EXPECT_TRUE(fabric.TrySend(0, 1, overflow));  // slot freed
 }
 
-TEST(FabricTest, BatchedSendAndDrainRoundTrip) {
+TEST(FabricTest, SendAndDrainRoundTrip) {
   Fabric fabric(3, 8);
-  std::vector<WireBatch> staged;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    staged.push_back(MakeBatch(i, 100 + i, {static_cast<ViewId>(i)}));
+    WireBatch batch = MakeBatch(i, 100 + i, {static_cast<ViewId>(i)});
+    ASSERT_TRUE(fabric.TrySend(0, 2, batch));
   }
-  ASSERT_EQ(fabric.TrySendBatch(0, 2, staged), 5u);
 
   // Drain respects max, preserves order, and appends to the caller's
   // buffer — the runtime reuses one scratch vector across channels.
@@ -347,54 +306,13 @@ TEST(FabricTest, BatchedSendAndDrainRoundTrip) {
   EXPECT_FALSE(fabric.TryRecv(0, 2).has_value());
 }
 
-TEST(FabricTest, BatchedSendTakesPrefixWhenChannelFills) {
-  Fabric fabric(2, 4);
-  // Learn the channel's (power-of-two-rounded) capacity, then free it.
-  std::uint32_t capacity = 0;
-  for (; capacity < 1000; ++capacity) {
-    WireBatch filler = MakeBatch(capacity, 1, {1});
-    if (!fabric.TrySend(0, 1, filler)) break;
-  }
-  std::vector<WireBatch> drained;
-  ASSERT_EQ(fabric.DrainChannel(0, 1, drained, 1000), capacity);
-
-  // Offer capacity + 3: exactly the leading `capacity` go through, the
-  // rejected suffix is untouched and retryable.
-  std::vector<WireBatch> staged;
-  for (std::uint64_t i = 0; i < capacity + 3u; ++i) {
-    staged.push_back(MakeBatch(i, 1, {static_cast<ViewId>(i)}));
-  }
-  EXPECT_EQ(fabric.TrySendBatch(0, 1, staged), capacity);
-  EXPECT_EQ(fabric.TrySendBatch(
-                0, 1, std::span<WireBatch>(staged).subspan(capacity)),
-            0u);  // full: nothing accepted
-  for (std::uint64_t i = capacity; i < capacity + 3u; ++i) {
-    EXPECT_EQ(staged[i].ops[0].seq, i);  // suffix intact
-  }
-  drained.clear();
-  EXPECT_EQ(fabric.DrainChannel(0, 1, drained, 1000), capacity);
-  for (std::uint32_t i = 0; i < capacity; ++i) {
-    EXPECT_EQ(drained[i].ops[0].seq, i);
-  }
-  // The freed slots accept the suffix now.
-  EXPECT_EQ(fabric.TrySendBatch(
-                0, 1, std::span<WireBatch>(staged).subspan(capacity)),
-            3u);
-}
-
-TEST(FabricTest, BatchedAndSingleOpCallsInterleaveOnOneChannel) {
+TEST(FabricTest, DrainAndSingleReceiveInterleaveOnOneChannel) {
   Fabric fabric(2, 16);
   std::uint64_t next_send = 0;
   std::uint64_t next_recv = 0;
   std::vector<WireBatch> out;
   for (int round = 0; round < 50; ++round) {
-    if (round % 2 == 0) {
-      std::vector<WireBatch> staged;
-      staged.push_back(MakeBatch(next_send, 1, {1}));
-      staged.push_back(MakeBatch(next_send + 1, 1, {2}));
-      ASSERT_EQ(fabric.TrySendBatch(0, 1, staged), 2u);
-      next_send += 2;
-    } else {
+    for (int k = 0; k <= round % 2; ++k) {
       WireBatch one = MakeBatch(next_send, 1, {3});
       ASSERT_TRUE(fabric.TrySend(0, 1, one));
       ++next_send;
@@ -413,10 +331,10 @@ TEST(FabricTest, BatchedAndSingleOpCallsInterleaveOnOneChannel) {
   EXPECT_EQ(next_recv, next_send);
 }
 
-// Threaded batched exchange on every channel: producers publish with
-// TrySendBatch, consumers claim with DrainChannel (TSan fodder for the
-// batched fast path).
-TEST(FabricTest, AllPairsThreadedBatchedExchange) {
+// Threaded exchange on every channel through the runtime's paths:
+// producers publish with TrySend, consumers claim with DrainChannel (TSan
+// fodder for the batched drain).
+TEST(FabricTest, AllPairsThreadedDrainExchange) {
   constexpr std::uint32_t kShards = 4;
   constexpr std::uint64_t kPerPair = 500;
   constexpr std::uint64_t kBurst = 4;
@@ -428,7 +346,6 @@ TEST(FabricTest, AllPairsThreadedBatchedExchange) {
     workers.emplace_back([&, self] {
       std::array<std::uint64_t, kShards> next_send{};
       std::array<std::uint64_t, kShards> next_recv{};
-      std::vector<WireBatch> staged;
       std::vector<WireBatch> claimed;
       bool done = false;
       while (!done) {
@@ -437,14 +354,13 @@ TEST(FabricTest, AllPairsThreadedBatchedExchange) {
           if (peer == self) continue;
           if (next_send[peer] < kPerPair) {
             done = false;
-            staged.clear();
-            const std::uint64_t burst =
-                std::min(kBurst, kPerPair - next_send[peer]);
-            for (std::uint64_t k = 0; k < burst; ++k) {
-              staged.push_back(MakeBatch(next_send[peer] + k, 1,
-                                         {static_cast<ViewId>(self)}));
+            for (std::uint64_t k = 0;
+                 k < kBurst && next_send[peer] < kPerPair; ++k) {
+              WireBatch batch = MakeBatch(next_send[peer], 1,
+                                          {static_cast<ViewId>(self)});
+              if (!fabric.TrySend(self, peer, batch)) break;
+              ++next_send[peer];
             }
-            next_send[peer] += fabric.TrySendBatch(self, peer, staged);
           }
           claimed.clear();
           fabric.DrainChannel(peer, self, claimed, kBurst);

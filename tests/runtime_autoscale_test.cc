@@ -582,7 +582,8 @@ TEST(RuntimeAutoScaleTest, PayloadCoherenceSurvivesIncrementalMerge) {
   const auto expect = persist.FetchView(writer);
   for (std::uint32_t s = 0; s < runtime.num_shards(); ++s) {
     core::Engine& engine = runtime.shard_engine(s);
-    const ServerId holder = engine.registry().info(writer).replicas.front();
+    const ServerId holder =
+        engine.registry().info(writer).replicas.front().server;
     const store::ViewData* data = engine.server(holder).FindData(writer);
     ASSERT_NE(data, nullptr);
     ASSERT_EQ(data->events().size(), expect.size());

@@ -739,7 +739,8 @@ TEST(RuntimeFaultTest, RebuildRacingConcurrentWritesKeepsLatestVersion) {
   const auto expect = persist.FetchView(writer);
   ASSERT_FALSE(expect.empty());
   core::Engine& engine = runtime.shard_engine(0);
-  const ServerId holder = engine.registry().info(writer).replicas.front();
+  const ServerId holder =
+      engine.registry().info(writer).replicas.front().server;
   const store::ViewData* data = engine.server(holder).FindData(writer);
   ASSERT_NE(data, nullptr);
   ASSERT_EQ(data->events().size(), expect.size());

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <map>
+#include <random>
 #include <span>
 #include <vector>
 
@@ -19,28 +23,48 @@ StoreConfig SmallConfig(std::uint32_t capacity = 10) {
 
 TEST(StoreServerTest, InsertUntilFull) {
   StoreServer server(0, SmallConfig(3));
-  EXPECT_TRUE(server.Insert(1));
-  EXPECT_TRUE(server.Insert(2));
-  EXPECT_TRUE(server.Insert(3));
+  EXPECT_NE(kNoEntry, server.Insert(1));
+  EXPECT_NE(kNoEntry, server.Insert(2));
+  EXPECT_NE(kNoEntry, server.Insert(3));
   EXPECT_TRUE(server.Full());
-  EXPECT_FALSE(server.Insert(4));
+  EXPECT_EQ(server.Insert(4), kNoEntry);
   EXPECT_EQ(server.used(), 3u);
 }
 
 TEST(StoreServerTest, InsertExistingIsIdempotent) {
   StoreServer server(0, SmallConfig(2));
-  EXPECT_TRUE(server.Insert(7));
-  EXPECT_TRUE(server.Insert(7));
+  const EntryId entry = server.Insert(7);
+  EXPECT_NE(entry, kNoEntry);
+  EXPECT_EQ(server.Insert(7), entry);
   EXPECT_EQ(server.used(), 1u);
+}
+
+TEST(StoreServerTest, EntriesAreStableHandles) {
+  StoreServer server(0, SmallConfig(10));
+  const EntryId seven = server.Insert(7);
+  server.entry_stats(seven).RecordRead(3);
+  // Inserting views before it, and erasing one, shifts its position in
+  // views() but not its entry.
+  for (ViewId v : {1u, 2u, 5u}) server.Insert(v);
+  server.Erase(2);
+  EXPECT_EQ(server.entry_view(seven), 7u);
+  EXPECT_EQ(server.entry_stats(seven).ReadsFrom(3), 1u);
+  EXPECT_EQ(server.Find(7), &server.entry_stats(seven));
+  // An erased entry names no view until a new replica reuses it.
+  server.Erase(7);
+  EXPECT_EQ(server.entry_view(seven), kInvalidView);
+  EXPECT_EQ(server.Insert(9), seven);
+  EXPECT_EQ(server.entry_view(seven), 9u);
+  EXPECT_EQ(server.entry_stats(seven).TotalReads(), 0u);
 }
 
 TEST(StoreServerTest, EraseFreesSpace) {
   StoreServer server(0, SmallConfig(1));
-  EXPECT_TRUE(server.Insert(1));
+  EXPECT_NE(kNoEntry, server.Insert(1));
   EXPECT_TRUE(server.Full());
   server.Erase(1);
   EXPECT_FALSE(server.Has(1));
-  EXPECT_TRUE(server.Insert(2));
+  EXPECT_NE(kNoEntry, server.Insert(2));
 }
 
 TEST(StoreServerTest, WatermarkDetection) {
@@ -68,7 +92,7 @@ TEST(StoreServerTest, PositionalAccessorsFollowTheSortedTable) {
   for (ViewId v : {7u, 1u, 9u}) server.Insert(v);
   server.set_utility(9, 2.5);
   server.set_utility_at(0, -1.0);  // view 1
-  server.RecordWrite(7);
+  server.Find(7)->RecordWrite();
   EXPECT_DOUBLE_EQ(server.utility(1), -1.0);
   EXPECT_DOUBLE_EQ(server.utility_at(2), 2.5);
   EXPECT_EQ(server.stats_at(1).TotalWrites(), 1u);
@@ -79,9 +103,9 @@ TEST(StoreServerTest, PositionalAccessorsFollowTheSortedTable) {
 TEST(StoreServerTest, RecordReadTracksOrigins) {
   StoreServer server(0, SmallConfig());
   server.Insert(5);
-  server.RecordRead(5, 2);
-  server.RecordRead(5, 2);
-  server.RecordRead(5, 7);
+  server.Find(5)->RecordRead(2);
+  server.Find(5)->RecordRead(2);
+  server.Find(5)->RecordRead(7);
   const ReplicaStats* stats = server.Find(5);
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->ReadsFrom(2), 2u);
@@ -93,8 +117,8 @@ TEST(StoreServerTest, RecordReadTracksOrigins) {
 TEST(StoreServerTest, RecordWriteCounts) {
   StoreServer server(0, SmallConfig());
   server.Insert(5);
-  server.RecordWrite(5);
-  server.RecordWrite(5);
+  server.Find(5)->RecordWrite();
+  server.Find(5)->RecordWrite();
   EXPECT_EQ(server.Find(5)->TotalWrites(), 2u);
 }
 
@@ -103,7 +127,7 @@ TEST(StoreServerTest, RotationExpiresOldWindow) {
   config.counter_slots = 3;
   StoreServer server(0, config);
   server.Insert(5);
-  server.RecordRead(5, 1);
+  server.Find(5)->RecordRead(1);
   for (int i = 0; i < 3; ++i) server.AdvanceSlot();
   EXPECT_EQ(server.Find(5)->TotalReads(), 0u);
 }
@@ -118,9 +142,9 @@ TEST(StoreServerTest, LazyRotationMatchesEagerRotation) {
   server.Insert(2);
   ReplicaStats eager(4);
   for (std::uint16_t origin = 0; origin < 3; ++origin) {
-    server.RecordRead(1, origin);
-    server.RecordRead(2, origin);
-    server.RecordWrite(2);
+    server.Find(1)->RecordRead(origin);
+    server.Find(2)->RecordRead(origin);
+    server.Find(2)->RecordWrite();
     eager.RecordRead(origin);
     eager.RecordWrite();
     server.AdvanceSlot();
@@ -141,7 +165,7 @@ TEST(StoreServerTest, LazyRotationMatchesEagerRotation) {
   EXPECT_EQ(server.Find(1)->TotalReads(), lazy->TotalReads());
   // A replica inserted now starts on the current slot, not behind it.
   server.Insert(3);
-  server.RecordRead(3, 0);
+  server.Find(3)->RecordRead(0);
   server.AdvanceSlot();
   EXPECT_EQ(server.Find(3)->TotalReads(), 1u);
 }
@@ -195,6 +219,304 @@ TEST(ReplicaStatsTest, MergeRemappedSpreadsAggregates) {
   EXPECT_EQ(target.ReadsFrom(1), 4u);
   EXPECT_EQ(target.ReadsFrom(2), 3u);
   EXPECT_EQ(target.ReadsFrom(3), 3u);
+}
+
+// ----- Reference model: one 24-slot rotating counter per origin -----
+
+// The paper's rotating counter (§3.2): "Each counter is associated to a
+// time period, and servers start updating the following counter at the end
+// of the period." Slots are 16 bits and saturate. ReplicaStats stores the
+// same windows in a compact hot/cold layout; this plain model is what the
+// differential test below holds it to.
+class RotatingCounter {
+ public:
+  static constexpr int kMaxSlots = 24;
+
+  explicit RotatingCounter(std::uint8_t num_slots = kMaxSlots)
+      : num_slots_(num_slots == 0 ? 1 : num_slots) {}
+
+  void Add(std::uint32_t n = 1) {
+    const std::uint32_t room = 0xFFFFu - slots_[head_];
+    const auto inc = static_cast<std::uint16_t>(n < room ? n : room);
+    slots_[head_] = static_cast<std::uint16_t>(slots_[head_] + inc);
+    sum_ += inc;
+  }
+
+  void Rotate() {
+    head_ = static_cast<std::uint8_t>(head_ + 1 == num_slots_ ? 0 : head_ + 1);
+    sum_ -= slots_[head_];
+    slots_[head_] = 0;
+  }
+
+  void Rotate(std::uint32_t periods) {
+    for (; periods > 0; --periods) Rotate();
+  }
+
+  std::uint32_t Total() const { return sum_; }
+  std::uint16_t Current() const { return slots_[head_]; }
+  bool IsZero() const { return sum_ == 0; }
+  void Clear() { *this = RotatingCounter(num_slots_); }
+  // A merged window folds into the current slot.
+  void Merge(const RotatingCounter& other) { Add(other.Total()); }
+
+ private:
+  std::array<std::uint16_t, kMaxSlots> slots_{};
+  std::uint32_t sum_ = 0;
+  std::uint8_t head_ = 0;
+  std::uint8_t num_slots_;
+};
+
+TEST(RotatingCounterTest, StartsEmpty) {
+  RotatingCounter c;
+  EXPECT_EQ(c.Total(), 0u);
+  EXPECT_TRUE(c.IsZero());
+}
+
+TEST(RotatingCounterTest, AddAccumulates) {
+  RotatingCounter c;
+  c.Add(3);
+  c.Add(4);
+  EXPECT_EQ(c.Total(), 7u);
+  EXPECT_EQ(c.Current(), 7u);
+}
+
+TEST(RotatingCounterTest, WindowForgetsAfterFullRotation) {
+  RotatingCounter c(4);
+  c.Add(10);
+  for (int i = 0; i < 4; ++i) c.Rotate();
+  EXPECT_EQ(c.Total(), 0u);
+}
+
+TEST(RotatingCounterTest, PartialRotationKeepsRecent) {
+  RotatingCounter c(4);
+  c.Add(10);
+  c.Rotate();
+  c.Add(5);
+  EXPECT_EQ(c.Total(), 15u);
+  c.Rotate();
+  c.Rotate();
+  c.Rotate();  // the 10 from slot 0 falls out
+  EXPECT_EQ(c.Total(), 5u);
+  c.Rotate();  // now the 5 falls out too
+  EXPECT_EQ(c.Total(), 0u);
+}
+
+TEST(RotatingCounterTest, SaturatesInsteadOfOverflowing) {
+  RotatingCounter c(2);
+  c.Add(0xFFFFu);
+  c.Add(100);  // would overflow the 16-bit slot
+  EXPECT_EQ(c.Total(), 0xFFFFu);
+}
+
+TEST(RotatingCounterTest, MergeFoldsIntoCurrentSlot) {
+  RotatingCounter a(4);
+  RotatingCounter b(4);
+  b.Add(3);
+  b.Rotate();
+  b.Add(4);
+  a.Merge(b);
+  EXPECT_EQ(a.Total(), 7u);
+}
+
+TEST(RotatingCounterTest, ClearResets) {
+  RotatingCounter c;
+  c.Add(42);
+  c.Clear();
+  EXPECT_TRUE(c.IsZero());
+}
+
+// ReplicaStats as it was before the hot/cold split: one RotatingCounter
+// per origin that has read, plus one for writes.
+class ReferenceStats {
+ public:
+  explicit ReferenceStats(std::uint8_t slots) : slots_(slots), writes_(slots) {}
+
+  void RecordRead(std::uint16_t origin, std::uint32_t n) {
+    reads_.try_emplace(origin, slots_).first->second.Add(n);
+  }
+  void RecordWrite(std::uint32_t n) { writes_.Add(n); }
+  void Rotate(std::uint32_t periods) {
+    writes_.Rotate(periods);
+    for (auto it = reads_.begin(); it != reads_.end();) {
+      it->second.Rotate(periods);
+      it = it->second.IsZero() ? reads_.erase(it) : std::next(it);
+    }
+  }
+  void SpreadReads(std::uint32_t reads,
+                   std::span<const std::uint16_t> targets) {
+    if (targets.empty()) return;
+    const auto count = static_cast<std::uint32_t>(targets.size());
+    const std::uint32_t share = reads / count;
+    std::uint32_t remainder = reads - share * count;
+    for (std::uint16_t target : targets) {
+      std::uint32_t amount = share;
+      if (remainder > 0) {
+        ++amount;
+        --remainder;
+      }
+      if (amount > 0) RecordRead(target, amount);
+    }
+  }
+  template <typename Remap>
+  void MergeRemapped(const ReferenceStats& other, Remap&& remap,
+                     bool include_writes) {
+    for (const auto& [origin, counter] : other.reads_) {
+      if (counter.Total() > 0) SpreadReads(counter.Total(), remap(origin));
+    }
+    if (include_writes) writes_.Merge(other.writes_);
+  }
+  std::uint32_t ExtractOrigin(std::uint16_t origin) {
+    const auto it = reads_.find(origin);
+    if (it == reads_.end()) return 0;
+    const std::uint32_t total = it->second.Total();
+    reads_.erase(it);
+    return total;
+  }
+
+  std::uint32_t TotalWrites() const { return writes_.Total(); }
+  std::uint32_t TotalReads() const {
+    std::uint32_t total = 0;
+    for (const auto& [origin, counter] : reads_) total += counter.Total();
+    return total;
+  }
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> Reads() const {
+    std::vector<std::pair<std::uint16_t, std::uint32_t>> out;
+    for (const auto& [origin, counter] : reads_) {
+      if (counter.Total() > 0) out.emplace_back(origin, counter.Total());
+    }
+    return out;
+  }
+
+ private:
+  std::uint8_t slots_;
+  std::map<std::uint16_t, RotatingCounter> reads_;
+  RotatingCounter writes_;
+};
+
+std::vector<std::pair<std::uint16_t, std::uint32_t>> ReadsOf(
+    const ReplicaStats& stats) {
+  std::vector<ReplicaStats::OriginReads> collected;
+  stats.CollectReads(collected);
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> out;
+  for (const auto& [origin, reads] : collected) out.emplace_back(origin, reads);
+  return out;
+}
+
+// A seeded random sequence of every ReplicaStats operation, applied to the
+// real layout and to the reference model, which must agree after each step.
+class ReplicaStatsDifferentialTest
+    : public ::testing::TestWithParam<std::uint8_t> {};
+
+TEST_P(ReplicaStatsDifferentialTest, MatchesOneCounterPerOrigin) {
+  const std::uint8_t slots = GetParam();
+  constexpr std::uint16_t kOrigins = 12;
+  std::mt19937 rng(1000u + slots);
+  const auto below = [&](std::uint32_t n) {
+    return static_cast<std::uint32_t>(rng() % n);
+  };
+  // Mostly single accesses; sometimes enough to saturate a 16-bit slot.
+  const auto amount = [&]() -> std::uint32_t {
+    switch (below(8)) {
+      case 0: return 0xF000u + below(0x2000);
+      case 1: return below(50);
+      default: return 1;
+    }
+  };
+  const auto targets = [&]() {
+    std::vector<std::uint16_t> out;
+    const std::uint32_t n = 1 + below(4);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto origin = static_cast<std::uint16_t>(below(kOrigins));
+      if (std::find(out.begin(), out.end(), origin) == out.end()) {
+        out.push_back(origin);
+      }
+    }
+    return out;
+  };
+  const auto remap = [](std::uint16_t origin) {
+    return std::vector<std::uint16_t>{
+        static_cast<std::uint16_t>(origin % 5),
+        static_cast<std::uint16_t>(5 + origin % 7)};
+  };
+
+  ReplicaStats stats(slots);
+  ReferenceStats model(slots);
+  ReplicaStats other(slots);  // a second replica, merged in now and then
+  ReferenceStats other_model(slots);
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint32_t op = below(100);
+    if (op < 40) {
+      const auto origin = static_cast<std::uint16_t>(below(kOrigins));
+      const std::uint32_t n = amount();
+      stats.RecordRead(origin, n);
+      model.RecordRead(origin, n);
+    } else if (op < 52) {
+      const std::uint32_t n = amount();
+      stats.RecordWrite(n);
+      model.RecordWrite(n);
+    } else if (op < 64) {
+      // Single steps mostly, and now and then a lag of a whole window.
+      const std::uint32_t periods =
+          below(4) == 0 ? below(2u * slots + 2) : 1;
+      stats.Rotate(periods);
+      model.Rotate(periods);
+    } else if (op < 72) {
+      const std::uint32_t reads = amount();
+      const std::vector<std::uint16_t> to = targets();
+      stats.SpreadReads(reads, to);
+      model.SpreadReads(reads, to);
+    } else if (op < 76) {
+      const bool include_writes = below(2) == 0;
+      stats.MergeRemapped(other, remap, include_writes);
+      model.MergeRemapped(other_model, remap, include_writes);
+    } else if (op < 82) {
+      const auto origin = static_cast<std::uint16_t>(below(kOrigins));
+      ASSERT_EQ(stats.ExtractOrigin(origin), model.ExtractOrigin(origin));
+    } else if (op < 84) {
+      const ReplicaStats copy = stats;  // reconfiguration snapshots copy
+      stats = copy;
+    } else {
+      const auto origin = static_cast<std::uint16_t>(below(kOrigins));
+      const std::uint32_t n = amount();
+      other.RecordRead(origin, n);
+      other_model.RecordRead(origin, n);
+      other.RecordWrite(1);
+      other_model.RecordWrite(1);
+      if (below(4) == 0) {
+        other.Rotate(1);
+        other_model.Rotate(1);
+      }
+    }
+    ASSERT_EQ(stats.TotalReads(), model.TotalReads()) << "step " << step;
+    ASSERT_EQ(stats.TotalWrites(), model.TotalWrites()) << "step " << step;
+    ASSERT_EQ(ReadsOf(stats), model.Reads()) << "step " << step;
+    for (std::uint16_t origin = 0; origin < kOrigins; ++origin) {
+      std::uint32_t want = 0;
+      for (const auto& [o, reads] : model.Reads()) {
+        if (o == origin) want = reads;
+      }
+      ASSERT_EQ(stats.ReadsFrom(origin), want) << "step " << step;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CounterSlots, ReplicaStatsDifferentialTest,
+                         ::testing::Values(1, 2, 5, 24));
+
+TEST(ReplicaStatsTest, SaturatedSlotsExpireExactly) {
+  ReplicaStats stats(3);
+  ReferenceStats model(3);
+  for (int slot = 0; slot < 5; ++slot) {
+    stats.RecordRead(4, 0x10000u);  // one more than a slot holds
+    model.RecordRead(4, 0x10000u);
+    stats.RecordWrite(0x20000u);
+    model.RecordWrite(0x20000u);
+    EXPECT_EQ(stats.ReadsFrom(4), model.Reads().front().second);
+    EXPECT_EQ(stats.TotalWrites(), model.TotalWrites());
+    stats.Rotate();
+    model.Rotate(1);
+  }
+  EXPECT_EQ(stats.ReadsFrom(4), 2u * 0xFFFFu);  // two completed slots
 }
 
 // ----- Utility & threshold plumbing -----
