@@ -86,10 +86,9 @@ void BM_EstimateProfit(benchmark::State& state) {
   stats.RecordRead(3, 4);
   stats.RecordRead(6, 7);
   stats.RecordWrite(2);
-  std::vector<store::ReplicaStats::OriginReads> scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::EstimateProfit(topo, false, stats, 0, 0,
-                                                  100, 0, scratch));
+    benchmark::DoNotOptimize(
+        core::EstimateProfit(topo, false, stats, 0, 0, 100, 0));
   }
 }
 BENCHMARK(BM_EstimateProfit);

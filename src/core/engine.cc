@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 
 #include "core/utility.h"
 
@@ -27,6 +28,20 @@ Engine::Engine(const net::Topology& topo,
     }
   }
   rack_cache_.assign(topo.num_racks(), RackCache{});
+  maintained_.assign(registry_.num_views(), 1);
+}
+
+void Engine::SetMaintenanceOwner(std::function<bool(ViewId)> owned) {
+  maintenance_owner_ = std::move(owned);
+  for (ViewId v = 0; v < maintained_.size(); ++v) {
+    maintained_[v] = OwnerPredicate(v);
+  }
+}
+
+void Engine::SetMaintenanceOwner(std::function<bool(ViewId)> owned,
+                                 std::span<const ViewId> changed) {
+  maintenance_owner_ = std::move(owned);
+  for (ViewId v : changed) maintained_[v] = OwnerPredicate(v);
 }
 
 std::uint64_t Engine::TotalUsed() const {
@@ -333,28 +348,25 @@ double Engine::ReplicationBound(ServerId s, std::uint16_t origin,
 bool Engine::TryReplicate(ViewId v, ReplicaRef r, SimTime t) {
   const ServerId s = r.server;
   const store::ReplicaStats& stats = servers_[s].entry_stats(r.entry);
-  stats.CollectReads(origin_scratch_);
-  if (origin_scratch_.empty()) return false;
-
   const double writes = stats.TotalWrites();
   const RackId wrack = write_rack(v);
 
   double best_profit = 0;
   ServerId best_target = kInvalidServer;
   std::uint16_t best_origin = kNoOrigin;
-  for (const auto& [origin, reads] : origin_scratch_) {
+  stats.ForEachOrigin([&](std::uint16_t origin, std::uint32_t reads) {
     const int cost_here =
         topo_->OriginCost(s, origin, s, config_.exact_origins);
-    if (cost_here <= 1) continue;  // already as local as it gets
+    if (cost_here <= 1) return;  // already as local as it gets
     if (ReplicationBound(s, origin, reads, writes, wrack, cost_here) <=
         best_profit) {
-      continue;  // no server of the origin can beat the best so far
+      return;  // no server of the origin can beat the best so far
     }
     const OriginScan scan = ScanOrigin(s, origin, v);
-    if (scan.least_loaded == kInvalidServer) continue;
+    if (scan.least_loaded == kInvalidServer) return;
     const int cost_there =
         topo_->OriginCost(s, origin, scan.least_loaded, config_.exact_origins);
-    if (cost_there >= cost_here) continue;
+    if (cost_there >= cost_here) return;
     // Only the origin's reads reroute to the new replica; the gain is their
     // locality improvement minus the cost of keeping one more copy updated.
     const double profit =
@@ -365,7 +377,7 @@ bool Engine::TryReplicate(ViewId v, ReplicaRef r, SimTime t) {
       best_target = scan.least_loaded;
       best_origin = origin;
     }
-  }
+  });
   if (best_target == kInvalidServer) return false;
   CreateReplica(v, best_target, r, t, /*move_stats=*/false, best_origin);
   ++counters_.replicas_created;
@@ -380,18 +392,19 @@ void Engine::TryMigrate(ViewId v, ReplicaRef r, SimTime t) {
   ServerId nearest = registry_.NextClosestReplica(s, v, *topo_).server;
   if (nearest == kInvalidServer) nearest = s;  // sole replica: compare moves
 
-  // Algorithm 1 for every candidate position over one collection of the
-  // reads: the reroute cost to `nearest` is the same for all of them.
+  // Algorithm 1 for every candidate position, in EstimateProfit's integer
+  // arithmetic. The reroute cost to `nearest` is the same for all of them,
+  // so it is priced once. Each origin's candidate is priced on its own:
+  // origins cover disjoint racks, so no two candidates share a rack.
   const RackId wrack = write_rack(v);
-  std::vector<store::ReplicaStats::OriginReads>& origins = migrate_scratch_;
-  stats.CollectReads(origins);
-  const double writes = stats.TotalWrites();
-  const double nearest_cost =
-      ReadCost(*topo_, config_.exact_origins, origins, s, nearest);
+  const std::int64_t nearest_cost =
+      ReadCost(*topo_, config_.exact_origins, stats, s, nearest);
+  const std::int64_t writes = stats.TotalWrites();
   const auto profit_at = [&](ServerId target) {
-    return nearest_cost -
-           ReadCost(*topo_, config_.exact_origins, origins, s, target) -
-           writes * topo_->RackToServerCost(wrack, target);
+    const std::int64_t cost =
+        ReadCost(*topo_, config_.exact_origins, stats, s, target);
+    return static_cast<double>(nearest_cost - cost -
+                               writes * topo_->RackToServerCost(wrack, target));
   };
   double best_profit = profit_at(s);
   const double own_utility = best_profit;
@@ -403,17 +416,16 @@ void Engine::TryMigrate(ViewId v, ReplicaRef r, SimTime t) {
   // origin count. The tree topology's n + m - 1 origins stay well below
   // this cap.
   constexpr std::size_t kMaxMigrationOrigins = 24;
-  if (origins.size() <= kMaxMigrationOrigins) {
-    for (const auto& [origin, reads] : origins) {
-      (void)reads;
+  if (stats.NumOrigins() <= kMaxMigrationOrigins) {
+    stats.ForEachOrigin([&](std::uint16_t origin, std::uint32_t) {
       const OriginScan scan = ScanOrigin(s, origin, v);
-      if (scan.least_loaded == kInvalidServer) continue;
+      if (scan.least_loaded == kInvalidServer) return;
       const double profit = profit_at(scan.least_loaded);
       if (profit > best_profit && profit > scan.min_threshold) {
         best_profit = profit;
         best_position = scan.least_loaded;
       }
-    }
+    });
   }
 
   if (best_position == s) {
@@ -625,7 +637,17 @@ void Engine::ImportViewStates(std::span<const ViewStateSnapshot> snaps) {
 void Engine::RecomputeUtilities(ServerId s) {
   store::StoreServer& server = servers_[s];
   const std::span<const ViewId> views = server.views();
+  // Each replica costs a chain of dependent misses: its pool entry, then
+  // its counter buffer and its view's registry entry. Prefetching the entry
+  // 8 positions ahead and the other two 4 ahead overlaps them.
+  constexpr std::size_t kEntryAhead = 8;
+  constexpr std::size_t kStatsAhead = 4;
   for (std::size_t i = 0; i < views.size(); ++i) {
+    if (i + kEntryAhead < views.size()) server.PrefetchEntry(i + kEntryAhead);
+    if (i + kStatsAhead < views.size()) {
+      server.PrefetchStats(i + kStatsAhead);
+      registry_.Prefetch(views[i + kStatsAhead]);
+    }
     const ViewId v = views[i];
     if (!Maintains(v)) continue;
     // Rotating every maintained window here keeps the catch-up off the
@@ -639,7 +661,7 @@ void Engine::RecomputeUtilities(ServerId s) {
     assert(nearest != kInvalidServer);
     server.set_utility_at(
         i, EstimateProfit(*topo_, config_.exact_origins, stats, s, s, nearest,
-                          write_rack(v), origin_scratch_));
+                          write_rack(v)));
   }
 }
 
@@ -682,11 +704,17 @@ void Engine::UpdateThresholdAndEvict(ServerId s, SimTime t) {
 
   // Proactive eviction keeps memory available above the watermark: the
   // lowest utility goes first, the lowest view id among equals. Pinned and
-  // infinite-utility views are never victims.
+  // infinite-utility views are never victims. The walk usually stops after
+  // a few victims, so a min-heap pops only as far as it goes; view ids are
+  // unique, so the order is that of a full sort.
   if (!server.AboveWatermark()) return;
-  std::sort(ranked_.begin(), ranked_.end());
-  for (const auto& [utility, v] : ranked_) {
-    if (!server.AboveWatermark() || utility == store::kInfiniteUtility) break;
+  const auto first = ranked_.begin();
+  auto last = ranked_.end();
+  std::make_heap(first, last, std::greater<>{});
+  while (first != last && server.AboveWatermark()) {
+    const auto [utility, v] = ranked_.front();
+    if (utility == store::kInfiniteUtility) break;
+    std::pop_heap(first, last--, std::greater<>{});
     if (Pinned(v)) continue;
     DropReplica(v, s, t);
     ++counters_.replicas_dropped;
@@ -761,9 +789,11 @@ ViewId Engine::AddUser() {
   const EntryId entry = servers_[target].Insert(registry_.num_views());
   assert(entry != kNoEntry && "no capacity for a new user");
   TouchServer(target);
-  return registry_.AddView(
+  const ViewId v = registry_.AddView(
       ReplicaRef{target, entry},
       topo_->broker_of_rack(topo_->rack_of_server(target)));
+  maintained_.push_back(OwnerPredicate(v));
+  return v;
 }
 
 }  // namespace dynasore::core

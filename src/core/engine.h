@@ -148,9 +148,19 @@ class Engine {
   // each engine maintains only its partition instead of redundantly
   // re-deciding every other shard's views; non-owned replicas keep their
   // initial placement. An empty function restores full maintenance.
-  void SetMaintenanceOwner(std::function<bool(ViewId)> owned) {
-    maintenance_owner_ = std::move(owned);
-  }
+  //
+  // The predicate is evaluated here, once per view, into a byte map that
+  // AddUser extends, so an install costs O(views) and a maintenance check
+  // is one load.
+  void SetMaintenanceOwner(std::function<bool(ViewId)> owned);
+  // The same, for a predicate that agrees with the installed one outside
+  // `changed`: only those views are evaluated again. A migration window's
+  // step hands over just its batch, so its install stays O(batch).
+  void SetMaintenanceOwner(std::function<bool(ViewId)> owned,
+                           std::span<const ViewId> changed);
+
+  // Whether the hourly maintenance covers `v` (see SetMaintenanceOwner).
+  bool Maintains(ViewId v) const { return maintained_[v] != 0; }
 
   // Advances the statistics window, then, for the maintained views only,
   // rotates counters, recomputes utilities and admission thresholds, drops
@@ -318,17 +328,15 @@ class Engine {
   EngineCounters counters_;
   std::uint32_t current_slot_ = 0;
 
-  bool Maintains(ViewId v) const {
-    return !maintenance_owner_ || maintenance_owner_(v);
-  }
-
   ViewId watched_view_ = kInvalidView;
   std::uint64_t watched_reads_ = 0;
   std::function<bool(ViewId)> maintenance_owner_;
+  std::vector<std::uint8_t> maintained_;  // by view, see SetMaintenanceOwner
+  std::uint8_t OwnerPredicate(ViewId v) const {
+    return !maintenance_owner_ || maintenance_owner_(v);
+  }
 
   // Scratch buffers reused across requests.
-  mutable std::vector<store::ReplicaStats::OriginReads> origin_scratch_;
-  std::vector<store::ReplicaStats::OriginReads> migrate_scratch_;
   mutable std::vector<std::uint16_t> remap_scratch_;
   std::vector<ViewId> evict_drops_;
   std::vector<std::pair<double, ViewId>> ranked_;

@@ -4,8 +4,7 @@
 // keeping the replica updated on writes.
 #pragma once
 
-#include <span>
-#include <vector>
+#include <cstdint>
 
 #include "common/types.h"
 #include "net/topology.h"
@@ -13,11 +12,12 @@
 
 namespace dynasore::core {
 
-// Cost (switches) of serving the logged `reads`, whose origins are relative
-// to `owner`, from `target`.
-double ReadCost(const net::Topology& topo, bool exact_origins,
-                std::span<const store::ReplicaStats::OriginReads> reads,
-                ServerId owner, ServerId target);
+// Cost (switches) of serving the reads logged in `stats`, whose origins are
+// relative to `owner`, from `target`: one integer pass over the hot counter
+// words.
+std::int64_t ReadCost(const net::Topology& topo, bool exact_origins,
+                      const store::ReplicaStats& stats, ServerId owner,
+                      ServerId target);
 
 // `owner` is the server whose statistics `stats` were recorded on (origin
 // indices are relative to it). `candidate` is where the view is evaluated
@@ -25,9 +25,11 @@ double ReadCost(const net::Topology& topo, bool exact_origins,
 // fallback replica that would serve the logged reads otherwise; it must be a
 // valid server (the caller pins sole replicas instead of scoring them).
 // `write_rack` hosts the view's write proxy.
+//
+// One integer pass over the hot counters: every term is a count times a
+// switch count, far below 2^53, so the double returned is exact.
 double EstimateProfit(const net::Topology& topo, bool exact_origins,
                       const store::ReplicaStats& stats, ServerId owner,
-                      ServerId candidate, ServerId nearest, RackId write_rack,
-                      std::vector<store::ReplicaStats::OriginReads>& scratch);
+                      ServerId candidate, ServerId nearest, RackId write_rack);
 
 }  // namespace dynasore::core

@@ -20,8 +20,9 @@
 // cursor; shard_of binary-searches the unmigrated suffix and falls back to
 // the target layout. A transition map is just as immutable as a pure one —
 // every batch installs a *new* map sharing the same ledger with the cursor
-// advanced, so the per-boundary install is O(1) regardless of how many
-// views remain (the pause stays O(migration_batch)); the final batch
+// advanced, so the per-boundary map install is O(1) regardless of how many
+// views remain, and each engine re-evaluates ownership only for the batch
+// just handed over (the pause stays O(migration_batch)); the final batch
 // installs the pure target map. Lookups pay one O(log pending) probe only
 // while a window is open. num_shards() reports the *live* routing domain
 // (max of the old and new counts — during a merge the retiring shards

@@ -130,15 +130,16 @@ std::unique_ptr<ShardedRuntime::Shard> ShardedRuntime::MakeShard(
   return shard;
 }
 
+std::function<bool(ViewId)> ShardedRuntime::MaintenanceOwner(
+    std::uint32_t shard) const {
+  if (map_.num_shards() == 1) return {};  // sole shard maintains all
+  // Each engine adapts and evicts only the views this shard owns; the
+  // other shards' views keep their last-known replicas here.
+  return [map = map_, shard](ViewId v) { return map.shard_of(v) == shard; };
+}
+
 void ShardedRuntime::InstallMaintenanceOwner(Shard& shard) {
-  if (map_.num_shards() > 1) {
-    // Each engine adapts and evicts only the views this shard owns; the
-    // other shards' views keep their last-known replicas here.
-    shard.engine->SetMaintenanceOwner(
-        [map = map_, s = shard.id](ViewId v) { return map.shard_of(v) == s; });
-  } else {
-    shard.engine->SetMaintenanceOwner({});  // sole shard maintains all
-  }
+  shard.engine->SetMaintenanceOwner(MaintenanceOwner(shard.id));
 }
 
 void ShardedRuntime::InstallMaintenanceOwners() {
@@ -441,12 +442,19 @@ std::uint64_t ShardedRuntime::MigrateNextBatch(std::uint64_t batch) {
 
   if (w.next < ledger.size()) {
     // Install the advanced dual-ownership window: the new map shares the
-    // window's ledger and only moves the cursor, so this step is O(1) no
-    // matter how many views remain — the pause stays O(migration_batch).
+    // window's ledger and only moves the cursor, and only this batch's
+    // views changed owner, so each engine re-evaluates just those. The
+    // step is O(batch) no matter how many views remain — the pause stays
+    // O(migration_batch).
     map_ = ShardMap::Transition(w.target,
                                 std::max(w.from_shards, w.to_shards),
                                 w.ledger, w.next);
-    InstallMaintenanceOwners();
+    std::vector<ViewId> moved;
+    moved.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) moved.push_back(ledger[i].first);
+    for (auto& shard : shards_) {
+      shard->engine->SetMaintenanceOwner(MaintenanceOwner(shard->id), moved);
+    }
   }
   return end - begin;
 }

@@ -644,6 +644,9 @@ class ShardedRuntime {
   // Builds one shard (engine over the stored initial placement, task queue,
   // outboxes are sized by the caller).
   std::unique_ptr<Shard> MakeShard(std::uint32_t id);
+  // Shard `shard`'s maintenance-ownership predicate under map_ (empty, for
+  // full maintenance, while one shard owns everything).
+  std::function<bool(ViewId)> MaintenanceOwner(std::uint32_t shard) const;
   // (Re)installs one engine's maintenance-ownership predicate from map_.
   // Called on the dispatcher at quiescent points, and on the owning worker
   // after a placement engine rebuild (map_ is stable then: the dispatcher

@@ -73,15 +73,6 @@ std::uint32_t ReplicaStats::TotalReads() const {
   return total;
 }
 
-void ReplicaStats::CollectReads(std::vector<OriginReads>& out) const {
-  out.clear();
-  for (std::size_t i = 0; i < origins_; ++i) {
-    // A counter whose window empties is erased by the rotation that
-    // empties it, so every word here counts at least one read.
-    out.push_back(OriginReads{OriginOf(words_[i]), TotalOf(words_[i])});
-  }
-}
-
 void ReplicaStats::SpreadReads(std::uint32_t reads,
                                std::span<const std::uint16_t> targets) {
   if (targets.empty()) return;

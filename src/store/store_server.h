@@ -50,7 +50,7 @@ inline constexpr double kInfiniteUtility =
 // kept apart from what only rotation needs:
 // - Hot: one 8-byte word per origin, {origin, current-slot count, window
 //   total}, sorted by origin. RecordRead, ReadsFrom, TotalReads and
-//   CollectReads read only these words, and the write counter has one too.
+//   ForEachOrigin read only these words, and the write counter has one too.
 // - Cold: the counter_slots - 1 completed slots of every counter, one row
 //   per origin (in hot-word order) and a last row for the writes. Rotation
 //   alone reads them. The first rotation with a non-zero current slot
@@ -72,12 +72,19 @@ class ReplicaStats {
   std::uint32_t TotalReads() const;
   std::uint32_t TotalWrites() const { return TotalOf(writes_); }
 
-  // Sorted (origin, reads-in-window) pairs with non-zero counts.
-  struct OriginReads {
-    std::uint16_t origin;
-    std::uint32_t reads;
-  };
-  void CollectReads(std::vector<OriginReads>& out) const;
+  // Calls f(origin, reads-in-window) for every origin with a non-zero
+  // window, in ascending origin order. A counter whose window empties is
+  // erased by the rotation that empties it, so every hot word counts at
+  // least one read.
+  template <typename F>
+  void ForEachOrigin(F&& f) const {
+    for (std::size_t i = 0; i < origins_; ++i) {
+      f(OriginOf(words_[i]), TotalOf(words_[i]));
+    }
+  }
+  std::size_t NumOrigins() const { return origins_; }
+  // A hint that the hot words are about to be read.
+  void Prefetch() const { __builtin_prefetch(words_.data()); }
 
   // Adds `reads` to the `targets` origins, split evenly; the first
   // `reads % targets.size()` targets take one read more.
@@ -219,6 +226,12 @@ class StoreServer {
     EntryAt(i).utility = utility;
   }
   ReplicaStats& stats_at(std::size_t i) { return CaughtUp(EntryAt(i)); }
+  // Hints for a walk over the table by position (core::Engine::Tick): the
+  // entry of position i, then its counter buffer once the entry is cached.
+  void PrefetchEntry(std::size_t i) const {
+    __builtin_prefetch(&pool_[pool_pos_[i]]);
+  }
+  void PrefetchStats(std::size_t i) const { EntryAt(i).stats.Prefetch(); }
 
   // Payload mode.
   const ViewData* FindData(ViewId view) const;

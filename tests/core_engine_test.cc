@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -416,6 +418,58 @@ TEST(AdaptiveEngineTest, EvictionOrderIsUtilityThenViewId) {
   EXPECT_DOUBLE_EQ(server.utility(0), -3.0);
 }
 
+// The same server as above, swept to every watermark: with room for
+// 9 - k views after the negative drops, the victims are exactly the first k
+// of the (utility, view id) order that are not pinned. View 0 ranks first
+// (utility -3) but is pinned, 3/5 and 6/8 tie, and the walk ends at view 1,
+// the one infinite utility, even while the server stays above the mark.
+TEST(AdaptiveEngineTest, EvictionVictimsArePrefixesOfTheUtilityOrder) {
+  const auto topo = SmallTopo();
+  const std::vector<ViewId> order{7, 3, 5, 6, 8, 4, 9};
+  for (std::size_t k = 0; k <= order.size() + 1; ++k) {
+    SCOPED_TRACE(k);
+    EngineConfig config = AdaptiveConfig(/*capacity=*/10);
+    config.enable_replication = false;
+    config.enable_migration = false;
+    config.enable_proxy_migration = false;
+    // 9 - k views fit under the mark, and 9 - k + 1 do not.
+    config.store.evict_watermark =
+        (9.0 - static_cast<double>(k) + 0.5) / 10.0;
+    Engine engine(topo,
+                  MakePlacement({{0, 2},
+                                 {2},
+                                 {2, 4},
+                                 {2, 4},
+                                 {2, 5},
+                                 {2, 6},
+                                 {2, 7},
+                                 {2, 4},
+                                 {2, 5},
+                                 {2, 6}}),
+                  config);
+    const std::uint32_t reads[] = {0, 0, 0, 1, 3, 1, 2, 0, 2, 5};
+    for (ViewId v = 0; v < 10; ++v) {
+      const std::vector<ViewId> target{v};
+      for (std::uint32_t i = 0; i < reads[v]; ++i) {
+        engine.ExecuteRead(/*reader=*/1, target, 1);
+      }
+    }
+    engine.ExecuteWrite(0, 1);
+    engine.ExecuteWrite(2, 1);
+    engine.Tick(3600);
+
+    const std::size_t victims = std::min(k, order.size());
+    EXPECT_EQ(engine.counters().drops_negative, 2u);
+    EXPECT_EQ(engine.counters().evictions_watermark, victims);
+    std::vector<ViewId> want_kept{0, 1};
+    want_kept.insert(want_kept.end(), order.begin() + victims, order.end());
+    std::sort(want_kept.begin(), want_kept.end());
+    const std::span<const ViewId> kept = engine.server(2).views();
+    EXPECT_EQ(std::vector<ViewId>(kept.begin(), kept.end()), want_kept);
+    EXPECT_EQ(engine.server(2).AboveWatermark(), k > order.size());
+  }
+}
+
 // ----- Admission thresholds -----
 
 TEST(AdaptiveEngineTest, FullClusterBlocksReplication) {
@@ -514,6 +568,123 @@ TEST(InvariantTest, CapacityNeverExceededUnderChurn) {
       }
     }
   }
+}
+
+// ----- Maintenance ownership -----
+
+// The ownership byte map must follow the installed predicate for views
+// AddUser creates after the install, and follow every reinstall, as the
+// sharded runtime reinstalls at each ownership change.
+TEST(MaintenanceOwnerTest, ByteMapFollowsThePredicate) {
+  const auto topo = SmallTopo();
+  Engine engine(topo, MakePlacement({{0}, {1}, {2}, {3}, {4}}),
+                AdaptiveConfig());
+  for (ViewId v = 0; v < 5; ++v) EXPECT_TRUE(engine.Maintains(v));
+  const auto even = [](ViewId v) { return v % 2 == 0; };
+  engine.SetMaintenanceOwner(even);
+  engine.AddUser();
+  engine.AddUser();
+  for (ViewId v = 0; v < 7; ++v) EXPECT_EQ(engine.Maintains(v), even(v)) << v;
+  const auto not_third = [](ViewId v) { return v % 3 != 0; };
+  engine.SetMaintenanceOwner(not_third);
+  engine.AddUser();
+  for (ViewId v = 0; v < 8; ++v) {
+    EXPECT_EQ(engine.Maintains(v), not_third(v)) << v;
+  }
+  // A reinstall that names the views whose owner changed evaluates only
+  // those, as a migration window's step does for its batch.
+  const auto moved = [](ViewId v) { return v % 3 != 0 || v == 6; };
+  const std::vector<ViewId> changed{6};
+  engine.SetMaintenanceOwner(moved, changed);
+  for (ViewId v = 0; v < 8; ++v) EXPECT_EQ(engine.Maintains(v), moved(v)) << v;
+  engine.AddUser();
+  EXPECT_EQ(engine.Maintains(8), moved(8));
+  engine.SetMaintenanceOwner({});
+  engine.AddUser();
+  for (ViewId v = 0; v < 10; ++v) EXPECT_TRUE(engine.Maintains(v)) << v;
+}
+
+void ExpectSameState(const Engine& a, const Engine& b) {
+  const EngineCounters& ca = a.counters();
+  const EngineCounters& cb = b.counters();
+  EXPECT_EQ(ca.replicas_created, cb.replicas_created);
+  EXPECT_EQ(ca.replicas_dropped, cb.replicas_dropped);
+  EXPECT_EQ(ca.evictions_watermark, cb.evictions_watermark);
+  EXPECT_EQ(ca.drops_negative, cb.drops_negative);
+  EXPECT_EQ(ca.migrations, cb.migrations);
+  for (int tier = 0; tier < net::kNumTiers; ++tier) {
+    for (MsgClass c : {MsgClass::kApp, MsgClass::kSystem}) {
+      EXPECT_EQ(a.traffic().TierTotal(static_cast<Tier>(tier), c),
+                b.traffic().TierTotal(static_cast<Tier>(tier), c));
+    }
+  }
+  for (ServerId s = 0; s < a.topology().num_servers(); ++s) {
+    const store::StoreServer& sa = a.server(s);
+    const store::StoreServer& sb = b.server(s);
+    ASSERT_TRUE(std::ranges::equal(sa.views(), sb.views())) << "server " << s;
+    EXPECT_EQ(sa.admission_threshold(), sb.admission_threshold());
+    for (std::size_t i = 0; i < sa.views().size(); ++i) {
+      EXPECT_EQ(sa.utility_at(i), sb.utility_at(i))
+          << "server " << s << " view " << sa.views()[i];
+    }
+  }
+}
+
+// Ticks with the byte map, installed once and extended by AddUser, against
+// an engine that installs the raw predicate afresh right before every tick.
+// The owner switches halfway through, as a reconfiguration would switch it.
+TEST(MaintenanceOwnerTest, TicksMatchAFreshlyInstalledPredicate) {
+  const auto topo = SmallTopo();
+  std::vector<std::vector<ServerId>> placement;
+  for (ViewId v = 0; v < 16; ++v) {
+    std::vector<ServerId> servers{static_cast<ServerId>(v % 8),
+                                  static_cast<ServerId>((v + 3) % 8)};
+    std::sort(servers.begin(), servers.end());
+    placement.push_back(std::move(servers));
+  }
+  std::function<bool(ViewId)> owner = [](ViewId v) { return v % 2 == 0; };
+  const std::function<bool(ViewId)> next = [](ViewId v) {
+    return v % 3 != 1;
+  };
+  Engine mapped(topo, MakePlacement(placement), AdaptiveConfig(/*capacity=*/8));
+  Engine fresh(topo, MakePlacement(placement), AdaptiveConfig(/*capacity=*/8));
+  mapped.SetMaintenanceOwner(owner);
+  ViewId views = 16;
+  SimTime t = 0;
+  for (int hour = 0; hour < 10; ++hour) {
+    SCOPED_TRACE(hour);
+    if (hour == 5) {
+      owner = next;
+      mapped.SetMaintenanceOwner(owner);
+    }
+    if (hour % 2 == 0) {
+      ASSERT_EQ(mapped.AddUser(), views);
+      ASSERT_EQ(fresh.AddUser(), views);
+      ++views;
+    }
+    for (int i = 0; i < 80; ++i) {
+      const auto reader = static_cast<UserId>((i * 5 + hour) % views);
+      const std::vector<ViewId> targets{
+          static_cast<ViewId>((i * 7) % views),
+          static_cast<ViewId>((i * 3 + hour) % views)};
+      ++t;
+      mapped.ExecuteRead(reader, targets, t);
+      fresh.ExecuteRead(reader, targets, t);
+      if (i % 3 == 0) {
+        const auto writer = static_cast<UserId>((i + hour) % views);
+        mapped.ExecuteWrite(writer, t);
+        fresh.ExecuteWrite(writer, t);
+      }
+    }
+    for (ViewId v = 0; v < views; ++v) {
+      ASSERT_EQ(mapped.Maintains(v), owner(v)) << v;
+    }
+    fresh.SetMaintenanceOwner(owner);
+    mapped.Tick(t);
+    fresh.Tick(t);
+    ExpectSameState(mapped, fresh);
+  }
+  EXPECT_GT(mapped.counters().replicas_dropped, 0u);
 }
 
 // min_replicas_pin > 1: the §3.3 in-memory durability mode.

@@ -403,21 +403,20 @@ void ExpectSameViewState(const core::ViewStateSnapshot& want,
   EXPECT_EQ(got.write_proxy, want.write_proxy);
   EXPECT_EQ(got.last_change_slot, want.last_change_slot);
   ASSERT_EQ(got.replicas.size(), want.replicas.size());
-  std::vector<store::ReplicaStats::OriginReads> want_reads;
-  std::vector<store::ReplicaStats::OriginReads> got_reads;
+  const auto reads_of = [](const store::ReplicaStats& stats) {
+    std::vector<std::pair<std::uint16_t, std::uint32_t>> reads;
+    stats.ForEachOrigin([&](std::uint16_t origin, std::uint32_t count) {
+      reads.emplace_back(origin, count);
+    });
+    return reads;
+  };
   for (std::size_t i = 0; i < want.replicas.size(); ++i) {
     const auto& w = want.replicas[i];
     const auto& g = got.replicas[i];
     EXPECT_EQ(g.server, w.server);
     EXPECT_EQ(g.utility, w.utility);
     EXPECT_EQ(g.stats.TotalWrites(), w.stats.TotalWrites());
-    w.stats.CollectReads(want_reads);
-    g.stats.CollectReads(got_reads);
-    ASSERT_EQ(got_reads.size(), want_reads.size());
-    for (std::size_t o = 0; o < want_reads.size(); ++o) {
-      EXPECT_EQ(got_reads[o].origin, want_reads[o].origin);
-      EXPECT_EQ(got_reads[o].reads, want_reads[o].reads);
-    }
+    EXPECT_EQ(reads_of(g.stats), reads_of(w.stats));
   }
 }
 

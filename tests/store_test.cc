@@ -5,6 +5,7 @@
 #include <map>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "store/store_server.h"
@@ -12,6 +13,16 @@
 
 namespace dynasore::store {
 namespace {
+
+// (origin, reads-in-window) pairs in ForEachOrigin's order.
+std::vector<std::pair<std::uint16_t, std::uint32_t>> ReadsOf(
+    const ReplicaStats& stats) {
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> out;
+  stats.ForEachOrigin([&](std::uint16_t origin, std::uint32_t reads) {
+    out.emplace_back(origin, reads);
+  });
+  return out;
+}
 
 StoreConfig SmallConfig(std::uint32_t capacity = 10) {
   StoreConfig config;
@@ -170,19 +181,15 @@ TEST(StoreServerTest, LazyRotationMatchesEagerRotation) {
   EXPECT_EQ(server.Find(3)->TotalReads(), 1u);
 }
 
-TEST(ReplicaStatsTest, CollectReadsSkipsEmptyOrigins) {
+TEST(ReplicaStatsTest, ForEachOriginVisitsOriginsInOrder) {
   ReplicaStats stats(4);
   stats.RecordRead(3, 5);
   stats.RecordRead(8, 2);
   stats.RecordRead(1, 1);
-  std::vector<ReplicaStats::OriginReads> out;
-  stats.CollectReads(out);
-  ASSERT_EQ(out.size(), 3u);
   // Sorted by origin.
-  EXPECT_EQ(out[0].origin, 1);
-  EXPECT_EQ(out[1].origin, 3);
-  EXPECT_EQ(out[1].reads, 5u);
-  EXPECT_EQ(out[2].origin, 8);
+  EXPECT_EQ(ReadsOf(stats),
+            (std::vector<std::pair<std::uint16_t, std::uint32_t>>{
+                {1, 1}, {3, 5}, {8, 2}}));
 }
 
 TEST(ReplicaStatsTest, RotationDropsEmptyOriginEntries) {
@@ -190,9 +197,7 @@ TEST(ReplicaStatsTest, RotationDropsEmptyOriginEntries) {
   stats.RecordRead(1, 1);
   stats.Rotate();
   stats.Rotate();
-  std::vector<ReplicaStats::OriginReads> out;
-  stats.CollectReads(out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(ReadsOf(stats).empty());
 }
 
 TEST(ReplicaStatsTest, MergeRemappedOneToOne) {
@@ -392,15 +397,6 @@ class ReferenceStats {
   std::map<std::uint16_t, RotatingCounter> reads_;
   RotatingCounter writes_;
 };
-
-std::vector<std::pair<std::uint16_t, std::uint32_t>> ReadsOf(
-    const ReplicaStats& stats) {
-  std::vector<ReplicaStats::OriginReads> collected;
-  stats.CollectReads(collected);
-  std::vector<std::pair<std::uint16_t, std::uint32_t>> out;
-  for (const auto& [origin, reads] : collected) out.emplace_back(origin, reads);
-  return out;
-}
 
 // A seeded random sequence of every ReplicaStats operation, applied to the
 // real layout and to the reference model, which must agree after each step.
