@@ -29,6 +29,7 @@ Engine::Engine(const net::Topology& topo,
   }
   rack_cache_.assign(topo.num_racks(), RackCache{});
   maintained_.assign(registry_.num_views(), 1);
+  dirty_.assign(registry_.num_views(), 1);  // nothing is priced yet
 }
 
 void Engine::SetMaintenanceOwner(std::function<bool(ViewId)> owned) {
@@ -36,12 +37,16 @@ void Engine::SetMaintenanceOwner(std::function<bool(ViewId)> owned) {
   for (ViewId v = 0; v < maintained_.size(); ++v) {
     maintained_[v] = OwnerPredicate(v);
   }
+  std::fill(dirty_.begin(), dirty_.end(), 1);
 }
 
 void Engine::SetMaintenanceOwner(std::function<bool(ViewId)> owned,
                                  std::span<const ViewId> changed) {
   maintenance_owner_ = std::move(owned);
-  for (ViewId v : changed) maintained_[v] = OwnerPredicate(v);
+  for (ViewId v : changed) {
+    maintained_[v] = OwnerPredicate(v);
+    dirty_[v] = 1;
+  }
 }
 
 std::uint64_t Engine::TotalUsed() const {
@@ -250,6 +255,7 @@ void Engine::MaybeMigrateWriteProxy(UserId u,
                     config_.traffic.sys_msg_size, net::MsgClass::kSystem, t);
   }
   info.write_proxy = best;
+  dirty_[u] = 1;  // the write cost of every replica changed
   ++counters_.write_proxy_migrations;
 }
 
@@ -485,10 +491,9 @@ void Engine::CreateReplica(ViewId v, ServerId target, ReplicaRef from,
   // Replication request to the write proxy (the synchronization point for
   // all replica-set changes, §3.2), its instruction back to the source, and
   // the view copy itself.
-  traffic_.Record(topo_->PathBrokerServer(wp, source),
-                  config_.traffic.sys_msg_size, net::MsgClass::kSystem, t);
-  traffic_.Record(topo_->PathBrokerServer(wp, source),
-                  config_.traffic.sys_msg_size, net::MsgClass::kSystem, t);
+  traffic_.RecordRoundTrip(topo_->PathBrokerServer(wp, source),
+                           config_.traffic.sys_msg_size,
+                           net::MsgClass::kSystem, t);
   traffic_.Record(topo_->PathServerServer(source, target),
                   config_.traffic.view_copy_size, net::MsgClass::kSystem, t);
 
@@ -498,6 +503,7 @@ void Engine::CreateReplica(ViewId v, ServerId target, ReplicaRef from,
   TouchServer(target);
   registry_.AddReplica(v, ReplicaRef{target, entry});
   registry_.info(v).last_change_slot = current_slot_;
+  dirty_[v] = 1;
   NotifyRoutingChange(v, closest_scratch_, t);
 
   store::ReplicaStats& source_stats = servers_[source].entry_stats(from.entry);
@@ -535,10 +541,9 @@ void Engine::DropReplica(ViewId v, ServerId s, SimTime t) {
   const BrokerId wp = registry_.info(v).write_proxy;
   // Eviction request to the write proxy and its acknowledgment (§3.2: the
   // write proxy serializes evictions so at least one replica survives).
-  traffic_.Record(topo_->PathBrokerServer(wp, s),
-                  config_.traffic.sys_msg_size, net::MsgClass::kSystem, t);
-  traffic_.Record(topo_->PathBrokerServer(wp, s),
-                  config_.traffic.sys_msg_size, net::MsgClass::kSystem, t);
+  traffic_.RecordRoundTrip(topo_->PathBrokerServer(wp, s),
+                           config_.traffic.sys_msg_size,
+                           net::MsgClass::kSystem, t);
 
   // The dropped replica's reads reroute to the next closest copy: its
   // access history travels there (piggybacked on the eviction messages) so
@@ -561,6 +566,7 @@ void Engine::DropReplica(ViewId v, ServerId s, SimTime t) {
   TouchServer(s);
   registry_.RemoveReplica(v, s);
   registry_.info(v).last_change_slot = current_slot_;
+  dirty_[v] = 1;
   NotifyRoutingChange(v, closest_scratch_, t);
 }
 
@@ -618,6 +624,7 @@ void Engine::ImportViewState(const ViewStateSnapshot& snap) {
   info.read_proxy = snap.read_proxy;
   info.write_proxy = snap.write_proxy;
   info.last_change_slot = snap.last_change_slot;
+  dirty_[v] = 1;
 }
 
 std::vector<ViewStateSnapshot> Engine::ExportViewStates(
@@ -652,6 +659,9 @@ void Engine::RecomputeUtilities(ServerId s) {
     if (!Maintains(v)) continue;
     // Rotating every maintained window here keeps the catch-up off the
     // request path; only replicas other shards maintain rotate on access.
+    // A clean view's replica whose windows did not move keeps its utility
+    // (see Tick).
+    if (!server.CatchUpAt(i) && dirty_[v] == 0) continue;
     const store::ReplicaStats& stats = server.stats_at(i);
     if (Pinned(v)) {
       server.set_utility_at(i, store::kInfiniteUtility);
@@ -729,6 +739,9 @@ void Engine::Tick(SimTime t) {
   // up the maintained replicas; the rest catch up when next touched.
   for (auto& server : servers_) server.AdvanceSlot();
   for (ServerId s = 0; s < servers_.size(); ++s) RecomputeUtilities(s);
+  // Every maintained replica is priced; the drops below dirty their views
+  // again for the next tick.
+  std::fill(dirty_.begin(), dirty_.end(), 0);
   for (ServerId s = 0; s < servers_.size(); ++s) UpdateThresholdAndEvict(s, t);
 }
 
@@ -740,6 +753,7 @@ void Engine::CrashServer(ServerId s, SimTime t) {
     registry_.ClosestReplicas(v, *topo_, closest_scratch_);
     registry_.RemoveReplica(v, s);
     registry_.info(v).last_change_slot = current_slot_;
+    dirty_[v] = 1;
     if (registry_.ReplicaCount(v) == 0) {
       // Rebuild from the persistent store onto the crashed server's rack
       // (or the least-loaded server anywhere if the rack is full).
@@ -793,6 +807,7 @@ ViewId Engine::AddUser() {
       ReplicaRef{target, entry},
       topo_->broker_of_rack(topo_->rack_of_server(target)));
   maintained_.push_back(OwnerPredicate(v));
+  dirty_.push_back(1);
   return v;
 }
 

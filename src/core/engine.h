@@ -167,7 +167,18 @@ class Engine {
   // negative-utility replicas, and runs the proactive eviction sweep
   // (§3.2). Other replicas' counters rotate lazily, on their next access
   // (store::StoreServer). Call once per slot_seconds.
+  //
+  // The utility pass is incremental: a replica is re-priced only when its
+  // view is dirty (see Dirty) or its counters' windows moved
+  // (store::ReplicaStats::WindowMoves). Any other replica's utility reads
+  // exactly what it read when it was last priced, so it keeps that value.
   void Tick(SimTime t);
+
+  // Whether `v` changed since the last utility pass in a way that changes
+  // its replicas' utilities: its replica set or write proxy moved, its
+  // state was imported, or its maintenance ownership was re-evaluated. The
+  // next tick re-prices all of its maintained replicas.
+  bool Dirty(ViewId v) const { return dirty_[v] != 0; }
 
   // ----- Online reconfiguration (used by rt::ShardedRuntime) -----
   //
@@ -332,6 +343,7 @@ class Engine {
   std::uint64_t watched_reads_ = 0;
   std::function<bool(ViewId)> maintenance_owner_;
   std::vector<std::uint8_t> maintained_;  // by view, see SetMaintenanceOwner
+  std::vector<std::uint8_t> dirty_;       // by view, see Dirty
   std::uint8_t OwnerPredicate(ViewId v) const {
     return !maintenance_owner_ || maintenance_owner_(v);
   }

@@ -18,6 +18,7 @@ Topology Topology::MakeTree(const TreeConfig& config) {
   t.num_servers_ = static_cast<std::uint16_t>(t.num_racks_ * t.servers_per_rack_);
   t.num_brokers_ = t.num_racks_;
   t.num_switches_ = static_cast<std::uint16_t>(1 + t.intermediates_ + t.num_racks_);
+  t.BuildTables();
   return t;
 }
 
@@ -32,7 +33,37 @@ Topology Topology::MakeFlat(std::uint16_t machines) {
   t.num_servers_ = machines;
   t.num_brokers_ = machines;
   t.num_switches_ = 1;
+  t.BuildTables();
   return t;
+}
+
+void Topology::BuildTables() {
+  rack_of_server_.resize(num_servers_);
+  for (ServerId s = 0; s < num_servers_; ++s) {
+    rack_of_server_[s] = static_cast<RackId>(s / servers_per_rack_);
+  }
+  intermediate_of_rack_.assign(num_racks_, 0);
+  if (flat_) return;  // one switch: no intermediates, and no path table
+  for (RackId r = 0; r < num_racks_; ++r) {
+    intermediate_of_rack_[r] = static_cast<std::uint16_t>(r / racks_per_int_);
+  }
+  rack_paths_.resize(static_cast<std::size_t>(num_racks_) * num_racks_);
+  for (RackId a = 0; a < num_racks_; ++a) {
+    for (RackId b = 0; b < num_racks_; ++b) {
+      SwitchPath& path = rack_paths_[static_cast<std::size_t>(a) * num_racks_ + b];
+      path.hops[path.count++] = rack_switch(a);
+      if (a != b) {
+        const std::uint16_t ia = intermediate_of_rack_[a];
+        const std::uint16_t ib = intermediate_of_rack_[b];
+        path.hops[path.count++] = intermediate_switch(ia);
+        if (ia != ib) {
+          path.hops[path.count++] = top_switch();
+          path.hops[path.count++] = intermediate_switch(ib);
+        }
+        path.hops[path.count++] = rack_switch(b);
+      }
+    }
+  }
 }
 
 Tier Topology::tier_of_switch(SwitchId sw) const {
@@ -49,56 +80,6 @@ SwitchId Topology::intermediate_switch(std::uint16_t i) const {
 SwitchId Topology::rack_switch(RackId r) const {
   assert(!flat_ && r < num_racks_);
   return static_cast<SwitchId>(1 + intermediates_ + r);
-}
-
-namespace {
-// Builds the path between two racks of a tree topology.
-SwitchPath TreeRackPath(const Topology& t, RackId ra, RackId rb) {
-  SwitchPath path;
-  if (ra == rb) {
-    path.hops[path.count++] = t.rack_switch(ra);
-    return path;
-  }
-  const std::uint16_t ia = t.intermediate_of_rack(ra);
-  const std::uint16_t ib = t.intermediate_of_rack(rb);
-  path.hops[path.count++] = t.rack_switch(ra);
-  path.hops[path.count++] = t.intermediate_switch(ia);
-  if (ia != ib) {
-    path.hops[path.count++] = t.top_switch();
-    path.hops[path.count++] = t.intermediate_switch(ib);
-  }
-  path.hops[path.count++] = t.rack_switch(rb);
-  return path;
-}
-}  // namespace
-
-SwitchPath Topology::PathBrokerServer(BrokerId b, ServerId s) const {
-  if (flat_) {
-    SwitchPath path;
-    if (b != s) path.hops[path.count++] = 0;
-    return path;
-  }
-  return TreeRackPath(*this, rack_of_broker(b), rack_of_server(s));
-}
-
-SwitchPath Topology::PathBrokerBroker(BrokerId a, BrokerId b) const {
-  if (flat_) {
-    SwitchPath path;
-    if (a != b) path.hops[path.count++] = 0;
-    return path;
-  }
-  if (a == b) return SwitchPath{};  // same machine, no switch traversed
-  return TreeRackPath(*this, rack_of_broker(a), rack_of_broker(b));
-}
-
-SwitchPath Topology::PathServerServer(ServerId a, ServerId b) const {
-  if (flat_) {
-    SwitchPath path;
-    if (a != b) path.hops[path.count++] = 0;
-    return path;
-  }
-  if (a == b) return SwitchPath{};
-  return TreeRackPath(*this, rack_of_server(a), rack_of_server(b));
 }
 
 std::uint16_t Topology::NumOrigins(ServerId /*s*/, bool exact) const {

@@ -15,6 +15,10 @@
 // origin per sibling intermediate switch (n + m - 1 origins instead of
 // n * m). An `exact` mode (one origin per rack, used as an ablation) is also
 // provided.
+//
+// Every per-request question is a table lookup: the rack of each server,
+// the intermediate switch of each rack and, for the tree, the switch path
+// between each pair of racks are built once, when the topology is made.
 #pragma once
 
 #include <array>
@@ -124,6 +128,16 @@ class Topology {
   std::uint16_t num_servers_ = 0;
   std::uint16_t num_brokers_ = 0;
   std::uint16_t num_switches_ = 0;
+
+  // Lookup tables built by MakeTree/MakeFlat (see the file comment).
+  void BuildTables();
+  // The path between two machines: in a tree the path between their racks,
+  // in the flat topology the one switch unless they are the same machine.
+  SwitchPath RackPath(RackId a, RackId b) const;
+
+  std::vector<RackId> rack_of_server_;              // by server
+  std::vector<std::uint16_t> intermediate_of_rack_;  // by rack
+  std::vector<SwitchPath> rack_paths_;  // tree only: [a * num_racks_ + b]
 };
 
 // The per-request accessors and costs are defined here so the engine's hot
@@ -131,7 +145,7 @@ class Topology {
 
 inline RackId Topology::rack_of_server(ServerId s) const {
   assert(s < num_servers_);
-  return flat_ ? s : static_cast<RackId>(s / servers_per_rack_);
+  return rack_of_server_[s];
 }
 
 inline RackId Topology::rack_of_broker(BrokerId b) const {
@@ -141,7 +155,7 @@ inline RackId Topology::rack_of_broker(BrokerId b) const {
 
 inline std::uint16_t Topology::intermediate_of_rack(RackId r) const {
   assert(r < num_racks_);
-  return flat_ ? 0 : static_cast<std::uint16_t>(r / racks_per_int_);
+  return intermediate_of_rack_[r];
 }
 
 inline std::uint16_t Topology::intermediate_of_server(ServerId s) const {
@@ -153,13 +167,13 @@ inline BrokerId Topology::broker_of_rack(RackId r) const {
   return r;
 }
 
+// A flat topology's machine is its own rack: servers_per_rack_ is 1.
 inline ServerId Topology::rack_server_begin(RackId r) const {
-  return flat_ ? r : static_cast<ServerId>(r * servers_per_rack_);
+  return static_cast<ServerId>(r * servers_per_rack_);
 }
 
 inline ServerId Topology::rack_server_end(RackId r) const {
-  return flat_ ? static_cast<ServerId>(r + 1)
-               : static_cast<ServerId>((r + 1) * servers_per_rack_);
+  return static_cast<ServerId>((r + 1) * servers_per_rack_);
 }
 
 inline int Topology::Distance(BrokerId b, ServerId s) const {
@@ -179,13 +193,36 @@ inline int Topology::ServerDistance(ServerId a, ServerId b) const {
   return intermediate_of_rack(ra) == intermediate_of_rack(rb) ? 3 : 5;
 }
 
+inline SwitchPath Topology::RackPath(RackId a, RackId b) const {
+  if (flat_) {
+    SwitchPath path;
+    if (a != b) path.hops[path.count++] = 0;
+    return path;
+  }
+  return rack_paths_[static_cast<std::size_t>(a) * num_racks_ + b];
+}
+
+inline SwitchPath Topology::PathBrokerServer(BrokerId b, ServerId s) const {
+  return RackPath(rack_of_broker(b), rack_of_server(s));
+}
+
+inline SwitchPath Topology::PathBrokerBroker(BrokerId a, BrokerId b) const {
+  if (a == b) return SwitchPath{};  // same machine, no switch traversed
+  return RackPath(rack_of_broker(a), rack_of_broker(b));
+}
+
+inline SwitchPath Topology::PathServerServer(ServerId a, ServerId b) const {
+  if (a == b) return SwitchPath{};
+  return RackPath(rack_of_server(a), rack_of_server(b));
+}
+
 inline std::uint16_t Topology::OriginIndex(ServerId server, RackId broker_rack,
                                     bool exact) const {
   if (flat_ || exact) return broker_rack;
   const std::uint16_t si = intermediate_of_server(server);
   const std::uint16_t bi = intermediate_of_rack(broker_rack);
   if (si == bi) {
-    return static_cast<std::uint16_t>(broker_rack % racks_per_int_);
+    return static_cast<std::uint16_t>(broker_rack - bi * racks_per_int_);
   }
   const std::uint16_t slot = bi < si ? bi : static_cast<std::uint16_t>(bi - 1);
   return static_cast<std::uint16_t>(racks_per_int_ + slot);

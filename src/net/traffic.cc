@@ -9,19 +9,9 @@ TrafficRecorder::TrafficRecorder(const Topology& topo,
     : topo_(&topo), config_(config) {
   assert(config_.bucket_seconds > 0);
   for (auto& t : totals_) t.assign(topo.num_switches(), 0);
-}
-
-void TrafficRecorder::Record(const SwitchPath& path, std::uint32_t size,
-                             MsgClass cls, SimTime t) {
-  const auto c = static_cast<std::size_t>(cls);
-  const std::size_t bucket = static_cast<std::size_t>(t / config_.bucket_seconds);
-  if (bucket >= num_buckets_) num_buckets_ = bucket + 1;
-  for (int i = 0; i < path.count; ++i) {
-    const SwitchId sw = path.hops[i];
-    totals_[c][sw] += size;
-    auto& series = series_[c][static_cast<std::size_t>(topo_->tier_of_switch(sw))];
-    if (series.size() <= bucket) series.resize(bucket + 1, 0);
-    series[bucket] += size;
+  tier_.resize(topo.num_switches());
+  for (SwitchId sw = 0; sw < topo.num_switches(); ++sw) {
+    tier_[sw] = topo.tier_of_switch(sw);
   }
 }
 
@@ -33,7 +23,7 @@ std::uint64_t TrafficRecorder::TierTotal(Tier tier, MsgClass cls) const {
   std::uint64_t sum = 0;
   const auto& totals = totals_[static_cast<std::size_t>(cls)];
   for (SwitchId sw = 0; sw < topo_->num_switches(); ++sw) {
-    if (topo_->tier_of_switch(sw) == tier) sum += totals[sw];
+    if (tier_[sw] == tier) sum += totals[sw];
   }
   return sum;
 }

@@ -42,11 +42,11 @@ class TrafficRecorder {
   void Record(const SwitchPath& path, std::uint32_t size, MsgClass cls,
               SimTime t);
 
-  // Request + answer of the same size over the same path.
+  // Request + answer of the same size over the same path: one charge of
+  // twice the size, which adds up to the same integer sums.
   void RecordRoundTrip(const SwitchPath& path, std::uint32_t size,
                        MsgClass cls, SimTime t) {
-    Record(path, size, cls, t);
-    Record(path, size, cls, t);
+    Record(path, 2 * size, cls, t);
   }
 
   std::uint64_t SwitchTotal(SwitchId sw, MsgClass cls) const;
@@ -71,6 +71,7 @@ class TrafficRecorder {
  private:
   const Topology* topo_;
   TrafficConfig config_;
+  std::vector<Tier> tier_;  // by switch: Topology::tier_of_switch, cached
   // totals_[cls][switch]
   std::array<std::vector<std::uint64_t>, kNumMsgClasses> totals_;
   // series_[cls][tier][bucket]
@@ -78,5 +79,20 @@ class TrafficRecorder {
       series_;
   std::size_t num_buckets_ = 0;
 };
+
+// Every message charge runs through here, so it is inline.
+inline void TrafficRecorder::Record(const SwitchPath& path, std::uint32_t size,
+                                    MsgClass cls, SimTime t) {
+  const auto c = static_cast<std::size_t>(cls);
+  const std::size_t bucket = static_cast<std::size_t>(t / config_.bucket_seconds);
+  if (bucket >= num_buckets_) num_buckets_ = bucket + 1;
+  for (int i = 0; i < path.count; ++i) {
+    const SwitchId sw = path.hops[i];
+    totals_[c][sw] += size;
+    auto& series = series_[c][static_cast<std::size_t>(tier_[sw])];
+    if (series.size() <= bucket) series.resize(bucket + 1, 0);
+    series[bucket] += size;
+  }
+}
 
 }  // namespace dynasore::net

@@ -405,7 +405,17 @@ void ShardedRuntime::BeginReconfigure(std::uint32_t new_count,
   migration_.emplace(
       MigrationWindow{std::move(target), old_n, new_count, std::move(ledger), 0});
   map_ = ShardMap::Transition(migration_->target, live, migration_->ledger, 0);
-  InstallMaintenanceOwners();
+  // At cursor 0 every view keeps its old owner, so an existing engine's
+  // byte map already holds the transition predicate's answers: it takes the
+  // predicate with nothing to re-evaluate. Only the shards just spawned
+  // evaluate every view.
+  for (auto& shard : shards_) {
+    if (shard->id < old_n) {
+      shard->engine->SetMaintenanceOwner(MaintenanceOwner(shard->id), {});
+    } else {
+      InstallMaintenanceOwner(*shard);
+    }
+  }
   WireTelemetryTracks();
   // Rewire the fault-tolerance control plane to the window's live domain,
   // the larger shard set: all-UP and (for the replicator) all-fresh — the

@@ -10,16 +10,44 @@ void ReplicaStats::RecordRead(std::uint16_t origin, std::uint32_t n) {
   const std::size_t i = LowerBound(origin);
   if (i == origins_ || OriginOf(words_[i]) != origin) InsertOrigin(i, origin);
   words_[i] = Added(words_[i], n);
+  active_ |= kCurrentActive;
 }
 
 void ReplicaStats::Rotate(std::uint32_t periods) {
+  if (periods == 0) return;
   if (periods >= counter_slots_) {
     Clear();  // every slot of the window expires
+    return;
+  }
+  if (origins_ == 0 && writes_ == 0) return;  // nothing to rotate
+  if (!WindowMoves(periods)) {
+    // Each of the `periods` rotations would write the empty current slot
+    // over an empty expiring one: only the ring position moves.
+    const unsigned history = counter_slots_ - 1u;
+    const unsigned next = oldest_ + periods;
+    oldest_ = static_cast<std::uint8_t>(next >= history ? next - history : next);
     return;
   }
   for (; periods > 0 && (origins_ > 0 || writes_ != 0); --periods) {
     RotateOnce();
   }
+}
+
+bool ReplicaStats::WindowMoves(std::uint32_t periods) const {
+  if ((active_ & kCurrentActive) != 0) return true;
+  if (periods == 0 || (origins_ == 0 && writes_ == 0)) return false;
+  if (periods >= counter_slots_ || counter_slots_ > kMaxTrackedSlots) {
+    return true;
+  }
+  return (active_ & ExpiringMask(periods)) != 0;
+}
+
+std::uint32_t ReplicaStats::ExpiringMask(std::uint32_t periods) const {
+  // Positions oldest_ .. oldest_ + periods - 1, wrapped around the ring.
+  const unsigned history = counter_slots_ - 1u;
+  const std::uint64_t run = ((std::uint64_t{1} << periods) - 1) << oldest_;
+  return static_cast<std::uint32_t>((run | (run >> history)) &
+                                    ((std::uint64_t{1} << history) - 1));
 }
 
 // The current slot of every counter becomes its newest completed slot and
@@ -49,6 +77,13 @@ void ReplicaStats::RotateOnce() {
     if (TotalOf(words_[i]) == 0) EraseOrigin(i);
   }
   writes_ = expire(writes_, Row(origins_));
+  if (counter_slots_ <= kMaxTrackedSlots) {
+    // The current slot became position oldest_.
+    const std::uint32_t position = 1u << oldest_;
+    active_ = (active_ & kCurrentActive) != 0 ? active_ | position
+                                              : active_ & ~position;
+  }
+  active_ &= ~kCurrentActive;
   oldest_ = static_cast<std::uint8_t>(oldest_ + 1u == history ? 0
                                                              : oldest_ + 1u);
   if (origins_ == 0 && writes_ == 0) Clear();  // nothing left to keep
@@ -59,6 +94,7 @@ void ReplicaStats::Clear() {
   writes_ = 0;
   origins_ = 0;
   oldest_ = 0;
+  active_ = 0;
 }
 
 std::uint32_t ReplicaStats::ReadsFrom(std::uint16_t origin) const {
@@ -94,6 +130,7 @@ std::uint32_t ReplicaStats::ExtractOrigin(std::uint16_t origin) {
   if (i == origins_ || OriginOf(words_[i]) != origin) return 0;
   const std::uint32_t total = TotalOf(words_[i]);
   EraseOrigin(i);
+  active_ |= kCurrentActive;  // conservatively: a window total changed
   return total;
 }
 

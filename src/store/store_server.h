@@ -57,16 +57,34 @@ inline constexpr double kInfiniteUtility =
 //   allocates them, so a replica whose slots never advance has none, and
 //   a rotation that leaves every counter empty drops them again.
 // Hot words and cold rows share one buffer: one allocation per replica.
+//
+// Activity bits, kept in the object's padding, record which slots may hold
+// a count: one per cold ring position, set when the current slot holding
+// a count becomes that position, and one for the current slot, set by
+// every access. A rotation that expires only clear positions while the
+// current slot is clear moves nothing into or out of any window, so it
+// only advances the ring position: O(1) however many rows there are. With
+// more than 31 completed slots the ring positions are not tracked and
+// every rotation takes the full path.
 class ReplicaStats {
  public:
   explicit ReplicaStats(std::uint8_t counter_slots)
       : counter_slots_(counter_slots == 0 ? 1 : counter_slots) {}
 
   void RecordRead(std::uint16_t origin, std::uint32_t n = 1);
-  void RecordWrite(std::uint32_t n = 1) { writes_ = Added(writes_, n); }
+  void RecordWrite(std::uint32_t n = 1) {
+    writes_ = Added(writes_, n);
+    active_ |= kCurrentActive;
+  }
   // Advances every counter by `periods` slots, as that many single
   // rotations would.
   void Rotate(std::uint32_t periods = 1);
+
+  // False only when no access or extraction touched the current slot and
+  // Rotate(periods) would expire nothing: the origin set, every origin's
+  // window total and the write total are then what they were when the
+  // current slot began, and stay so through the rotation.
+  bool WindowMoves(std::uint32_t periods) const;
 
   std::uint32_t ReadsFrom(std::uint16_t origin) const;
   std::uint32_t TotalReads() const;
@@ -143,13 +161,24 @@ class ReplicaStats {
   void RotateOnce();
   void Clear();
 
+  // Activity bits: bit h for cold ring position h, and the current slot's.
+  static constexpr std::uint32_t kCurrentActive = 1u << 31;
+  static constexpr std::uint8_t kMaxTrackedSlots = 32;  // 31 cold + current
+  // The ring positions that the next `periods` rotations expire, for
+  // 0 < periods < counter_slots_ <= kMaxTrackedSlots.
+  std::uint32_t ExpiringMask(std::uint32_t periods) const;
+
   // origins_ hot words, then, with history, origins_ + 1 cold rows.
   std::vector<std::uint64_t> words_;
   std::uint64_t writes_ = 0;  // the write counter's hot word (origin 0)
   std::uint16_t origins_ = 0;
   std::uint8_t counter_slots_;
   std::uint8_t oldest_ = 0;  // the cold slot that expires at the next rotation
+  std::uint32_t active_ = 0;  // activity bits (see the class comment)
 };
+
+static_assert(sizeof(ReplicaStats) == 40,
+              "the activity bits live in ReplicaStats' padding");
 
 // The replica table is flat: view ids sorted in one contiguous array, with a
 // parallel array of positions into a pool of per-replica entries. Lookups
@@ -226,6 +255,15 @@ class StoreServer {
     EntryAt(i).utility = utility;
   }
   ReplicaStats& stats_at(std::size_t i) { return CaughtUp(EntryAt(i)); }
+  // Catches position i's replica up, as stats_at does, and returns
+  // ReplicaStats::WindowMoves of that catch-up: false only when the
+  // replica's windows hold what they held when its last slot began.
+  bool CatchUpAt(std::size_t i) {
+    const Entry& entry = EntryAt(i);
+    const bool moved = entry.stats.WindowMoves(slot_ - entry.slot);
+    CaughtUp(entry);
+    return moved;
+  }
   // Hints for a walk over the table by position (core::Engine::Tick): the
   // entry of position i, then its counter buffer once the entry is cached.
   void PrefetchEntry(std::size_t i) const {
@@ -247,6 +285,7 @@ class StoreServer {
     std::unique_ptr<ViewData> data;  // only in payload mode
   };
 
+  static_assert(sizeof(Entry) == 64, "one cache line per replica");
   static constexpr std::size_t kAbsent = ~std::size_t{0};
 
   const Entry& EntryAt(std::size_t i) const { return pool_[pool_pos_[i]]; }

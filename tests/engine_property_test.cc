@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/engine.h"
+#include "core/utility.h"
 #include "graph/generator.h"
 #include "net/topology.h"
 #include "placement/placement.h"
@@ -24,6 +28,33 @@ void ExpectHandlesName(const Engine& engine) {
     for (const ReplicaRef& r : engine.registry().info(v).replicas) {
       ASSERT_EQ(engine.server(r.server).entry_view(r.entry), v)
           << "view " << v << " server " << r.server << " entry " << r.entry;
+    }
+  }
+}
+
+// The incremental tick's invariant, checked right after a tick: every
+// maintained replica of a view that has not changed since the utility pass
+// holds what a from-scratch pricing gives it now — infinite when pinned,
+// otherwise EstimateProfit against the next closest replica and the write
+// proxy's rack. (Views the tick's own drops changed are dirty: the next
+// tick re-prices them.)
+void ExpectFreshUtilities(const Engine& engine) {
+  const net::Topology& topo = engine.topology();
+  const EngineConfig& config = engine.config();
+  for (ServerId s = 0; s < topo.num_servers(); ++s) {
+    const store::StoreServer& server = engine.server(s);
+    const std::span<const ViewId> views = server.views();
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      const ViewId v = views[i];
+      if (!engine.Maintains(v) || engine.Dirty(v)) continue;
+      double want = store::kInfiniteUtility;
+      if (engine.ReplicaCount(v) > config.store.min_replicas_pin) {
+        want = EstimateProfit(
+            topo, config.exact_origins, *server.Find(v), s, s,
+            engine.registry().NextClosestReplica(s, v, topo).server,
+            topo.rack_of_broker(engine.write_proxy(v)));
+      }
+      ASSERT_EQ(server.utility_at(i), want) << "server " << s << " view " << v;
     }
   }
 }
@@ -58,6 +89,7 @@ void DriveAndCheck(Engine& engine, const net::Topology& topo,
       engine.ExecuteRead(user, targets, t);
     }
     engine.Tick(t);
+    ExpectFreshUtilities(engine);
 
     // Invariant 1: every view has at least one replica.
     for (ViewId v = 0; v < num_views; ++v) {
@@ -209,6 +241,7 @@ TEST_P(CrashStormTest, NoViewEverLost) {
     }
     ExpectHandlesName(engine);
     engine.Tick(t);
+    ExpectFreshUtilities(engine);
   }
 }
 
@@ -350,6 +383,7 @@ TEST_P(DurabilitySweepTest, PinnedCopiesSurviveChurn) {
                          targets, t);
     }
     engine.Tick(t);
+    ExpectFreshUtilities(engine);
     for (ViewId v = 0; v < num_views; ++v) {
       // Views that started with `pin` copies never drop below it.
       ASSERT_GE(engine.ReplicaCount(v),
@@ -362,6 +396,166 @@ TEST_P(DurabilitySweepTest, PinnedCopiesSurviveChurn) {
 
 INSTANTIATE_TEST_SUITE_P(PinLevels, DurabilitySweepTest,
                          ::testing::Values(1u, 2u, 3u));
+
+// The incremental tick against every event that changes what a utility
+// reads, at several window lengths (1 slot: every tick expires the whole
+// window; 40: past what the activity bits track). Two engines split the
+// views as two shards would and hand ownership over the ways the sharded
+// runtime does: a migration window (the opening install re-evaluates
+// nothing, a step imports a batch and re-evaluates it, the closing install
+// re-evaluates every view), a rebuild from a non-owner's frozen copies, and
+// owner changes with no import, through either install. Crashes, new users
+// and proxy migrations ride along, and the last hours are nearly idle, so
+// most replicas keep their utilities. After every tick the utilities must
+// be fresh, and must equal those of twins that re-price every replica at
+// every tick (a full install marks every view dirty).
+class IncrementalTickTest : public ::testing::TestWithParam<std::uint8_t> {};
+
+TEST_P(IncrementalTickTest, UtilitiesMatchFromScratchPricing) {
+  const auto topo = net::Topology::MakeTree(net::TreeConfig{2, 3, 4});
+  const std::uint32_t capacity = 16;
+  ViewId num_views = 150;
+  const auto placement = place::RandomPlacement(num_views, topo, capacity, 4);
+  EngineConfig config;
+  config.store.capacity_views = capacity;
+  config.store.counter_slots = GetParam();
+
+  // Engine 0 maintains the even views and engine 1 the odd ones, until the
+  // hand-overs below change `owner`.
+  std::vector<std::uint8_t> owner;
+  for (ViewId v = 0; v < num_views; ++v) owner.push_back(v % 2);
+  const std::function<bool(ViewId)> owned[2] = {
+      [&owner](ViewId v) { return owner[v] == 0; },
+      [&owner](ViewId v) { return owner[v] == 1; }};
+  const auto views_in = [](ViewId first, ViewId last, ViewId parity) {
+    std::vector<ViewId> out;
+    for (ViewId v = first; v < last; ++v) {
+      if (v % 2 == parity) out.push_back(v);
+    }
+    return out;
+  };
+
+  Engine engines[2] = {Engine(topo, placement, config),
+                       Engine(topo, placement, config)};
+  Engine twins[2] = {Engine(topo, placement, config),
+                     Engine(topo, placement, config)};
+  engines[0].SetMaintenanceOwner(owned[0]);
+  engines[1].SetMaintenanceOwner(owned[1]);
+  const auto both = [&](auto&& f) {
+    for (Engine& e : engines) f(e);
+    for (Engine& e : twins) f(e);
+  };
+  // Moves `views` to engine `to`, importing its state from the other
+  // engine when `import` is set, and reinstalling through the `changed`
+  // overload or, with `full`, a full install.
+  const auto hand_over = [&](const std::vector<ViewId>& views, int to,
+                             bool import, bool full) {
+    for (ViewId v : views) owner[v] = static_cast<std::uint8_t>(to);
+    if (import) {
+      for (Engine* pair : {engines, twins}) {
+        pair[to].ImportViewStates(pair[1 - to].ExportViewStates(views));
+      }
+    }
+    for (int e = 0; e < 2; ++e) {
+      if (full) {
+        engines[e].SetMaintenanceOwner(owned[e]);
+      } else {
+        engines[e].SetMaintenanceOwner(owned[e], views);
+      }
+    }
+  };
+
+  common::Rng rng(GetParam() + 71u);
+  SimTime t = 0;
+  std::vector<ViewId> targets;
+  for (int hour = 0; hour < 15; ++hour) {
+    SCOPED_TRACE(testing::Message() << "hour " << hour);
+    const int crashes = hour == 10 || hour == 12   ? 3
+                        : hour == 2 || hour == 9 ? 1
+                                                 : 0;
+    for (int c = 0; c < crashes; ++c) {
+      const auto victim =
+          static_cast<ServerId>(rng.NextBounded(topo.num_servers()));
+      both([&](Engine& e) { e.CrashServer(victim, t); });
+    }
+    if (hour == 3 || hour == 7) {
+      owner.push_back(num_views % 2);  // AddUser asks the predicate
+      both([&](Engine& e) { ASSERT_EQ(e.AddUser(), num_views); });
+      ++num_views;
+    }
+    switch (hour) {
+      case 4:  // a migration window opens: no view has moved yet
+        engines[0].SetMaintenanceOwner(owned[0], {});
+        engines[1].SetMaintenanceOwner(owned[1], {});
+        break;
+      case 5:  // its one step
+        hand_over(views_in(0, 20, 1), 0, /*import=*/true, /*full=*/false);
+        break;
+      case 6:  // its last step, which closes it
+        hand_over(views_in(20, 40, 1), 0, /*import=*/true, /*full=*/true);
+        break;
+      case 8:  // a rebuild: engine 1 reloads its views from frozen copies
+        for (Engine* pair : {engines, twins}) {
+          pair[1].ImportViewStates(
+              pair[0].ExportViewStates(views_in(41, 60, 1)));
+        }
+        break;
+      // Owner changes over copies the new owner already holds, and back
+      // after crashes moved replica sets that the bits did not see.
+      case 10:
+      case 11:
+        hand_over(views_in(61, 100, 1), hour - 10, /*import=*/false,
+                  /*full=*/false);
+        break;
+      case 12:
+      case 13:
+        hand_over(views_in(101, 140, 1), hour - 12, /*import=*/false,
+                  /*full=*/true);
+        break;
+      default:
+        break;
+    }
+    const int ops = hour < 10 ? 150 : 10;
+    for (int i = 0; i < ops; ++i) {
+      t += 24;
+      const auto user = static_cast<UserId>(rng.NextBounded(num_views));
+      if (rng.NextBool(0.25)) {
+        both([&](Engine& e) { e.ExecuteWrite(user, t); });
+        continue;
+      }
+      targets.clear();
+      for (std::uint64_t k = 1 + rng.NextBounded(4); k > 0; --k) {
+        targets.push_back(static_cast<ViewId>(rng.NextBounded(num_views)));
+      }
+      both([&](Engine& e) { e.ExecuteRead(user, targets, t); });
+    }
+    t = (hour + 1) * kSecondsPerHour;
+    for (int e = 0; e < 2; ++e) {
+      twins[e].SetMaintenanceOwner(owned[e]);
+      engines[e].Tick(t);
+      twins[e].Tick(t);
+      ExpectFreshUtilities(engines[e]);
+      for (ServerId s = 0; s < topo.num_servers(); ++s) {
+        const store::StoreServer& got = engines[e].server(s);
+        const store::StoreServer& want = twins[e].server(s);
+        ASSERT_TRUE(std::ranges::equal(got.views(), want.views()));
+        for (std::size_t i = 0; i < got.views().size(); ++i) {
+          ASSERT_EQ(got.utility_at(i), want.utility_at(i))
+              << "engine " << e << " server " << s << " view "
+              << got.views()[i];
+        }
+        ASSERT_EQ(got.admission_threshold(), want.admission_threshold());
+      }
+    }
+  }
+  for (int e = 0; e < 2; ++e) {
+    EXPECT_GT(engines[e].counters().write_proxy_migrations, 0u);
+    EXPECT_GT(engines[e].counters().replicas_dropped, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CounterSlots, IncrementalTickTest,
+                         ::testing::Values(1, 2, 5, 24, 40));
 
 }  // namespace
 }  // namespace dynasore::core

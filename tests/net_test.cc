@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "net/topology.h"
 #include "net/traffic.h"
@@ -223,7 +224,112 @@ TEST(FlatTopologyTest, EveryMachineIsAnOrigin) {
   EXPECT_EQ(t.OriginCost(3, 99, 5), 1);
 }
 
+// ----- Lookup tables against the arithmetic they replace -----
+
+// The paper's tree, a 3x4x6 tree and a flat topology.
+std::vector<Topology> TableShapes() {
+  return {Topology::MakeTree(PaperTree()),
+          Topology::MakeTree(TreeConfig{3, 4, 6}), Topology::MakeFlat(12)};
+}
+
+// The switches between a machine in rack `a` and one in rack `b`, built
+// hop by hop from the shape (a flat topology's rack is one machine).
+SwitchPath ArithmeticPath(const Topology& t, RackId a, RackId b) {
+  SwitchPath path;
+  if (t.is_flat()) {
+    if (a != b) path.hops[path.count++] = t.top_switch();
+    return path;
+  }
+  const auto ia = static_cast<std::uint16_t>(a / t.racks_per_intermediate());
+  const auto ib = static_cast<std::uint16_t>(b / t.racks_per_intermediate());
+  path.hops[path.count++] = t.rack_switch(a);
+  if (a == b) return path;
+  path.hops[path.count++] = t.intermediate_switch(ia);
+  if (ia != ib) {
+    path.hops[path.count++] = t.top_switch();
+    path.hops[path.count++] = t.intermediate_switch(ib);
+  }
+  path.hops[path.count++] = t.rack_switch(b);
+  return path;
+}
+
+std::vector<SwitchId> Hops(const SwitchPath& path) {
+  const auto span = path.span();
+  return {span.begin(), span.end()};
+}
+
+TEST(TopologyTableTest, LookupTablesEqualTheDivisions) {
+  for (const Topology& t : TableShapes()) {
+    for (ServerId s = 0; s < t.num_servers(); ++s) {
+      ASSERT_EQ(t.rack_of_server(s), s / t.servers_per_rack()) << s;
+    }
+    for (RackId r = 0; r < t.num_racks(); ++r) {
+      ASSERT_EQ(t.intermediate_of_rack(r),
+                t.is_flat() ? 0 : r / t.racks_per_intermediate())
+          << r;
+    }
+  }
+}
+
+TEST(TopologyTableTest, PathsEqualTheArithmeticPath) {
+  for (const Topology& t : TableShapes()) {
+    for (RackId a = 0; a < t.num_racks(); ++a) {
+      for (RackId b = 0; b < t.num_racks(); ++b) {
+        SCOPED_TRACE(testing::Message() << "racks " << a << ", " << b);
+        const std::vector<SwitchId> want = Hops(ArithmeticPath(t, a, b));
+        const BrokerId ba = t.broker_of_rack(a);
+        ASSERT_EQ(Hops(t.PathBrokerBroker(ba, t.broker_of_rack(b))),
+                  a == b ? std::vector<SwitchId>{} : want);
+        for (ServerId sb = t.rack_server_begin(b); sb < t.rack_server_end(b);
+             ++sb) {
+          ASSERT_EQ(Hops(t.PathBrokerServer(ba, sb)), want);
+          for (ServerId sa = t.rack_server_begin(a);
+               sa < t.rack_server_end(a); ++sa) {
+            ASSERT_EQ(Hops(t.PathServerServer(sa, sb)),
+                      sa == sb ? std::vector<SwitchId>{} : want);
+          }
+        }
+      }
+    }
+  }
+}
+
 // ----- Traffic recorder -----
+
+// One RecordRoundTrip charges exactly what two Records of the same message
+// charge: every switch total, tier total and series bucket.
+TEST(TrafficTest, RoundTripEqualsTwoRecords) {
+  for (const Topology& t : TableShapes()) {
+    TrafficConfig config;
+    config.bucket_seconds = 100;
+    TrafficRecorder once(t, config);
+    TrafficRecorder twice(t, config);
+    SimTime time = 0;
+    for (MsgClass cls : {MsgClass::kApp, MsgClass::kSystem}) {
+      for (BrokerId b = 0; b < t.num_brokers(); ++b) {
+        for (ServerId s = 0; s < t.num_servers(); s += 5) {
+          const SwitchPath path = t.PathBrokerServer(b, s);
+          const std::uint32_t size = 1 + (b + s) % 10;
+          time += 37;
+          once.RecordRoundTrip(path, size, cls, time);
+          twice.Record(path, size, cls, time);
+          twice.Record(path, size, cls, time);
+        }
+      }
+    }
+    ASSERT_EQ(once.NumBuckets(), twice.NumBuckets());
+    for (MsgClass cls : {MsgClass::kApp, MsgClass::kSystem}) {
+      for (SwitchId sw = 0; sw < t.num_switches(); ++sw) {
+        ASSERT_EQ(once.SwitchTotal(sw, cls), twice.SwitchTotal(sw, cls));
+      }
+      for (Tier tier : {Tier::kTop, Tier::kIntermediate, Tier::kRack}) {
+        EXPECT_EQ(once.TierTotal(tier, cls), twice.TierTotal(tier, cls));
+        EXPECT_EQ(once.Series(tier, cls), twice.Series(tier, cls));
+      }
+    }
+    EXPECT_GT(once.TierTotal(Tier::kTop, MsgClass::kSystem), 0u);
+  }
+}
 
 TEST(TrafficTest, RecordsAllSwitchesOnPath) {
   const Topology t = Topology::MakeTree(PaperTree());

@@ -235,9 +235,10 @@ TEST(ReplicaStatsTest, MergeRemappedSpreadsAggregates) {
 // differential test below holds it to.
 class RotatingCounter {
  public:
-  static constexpr int kMaxSlots = 24;
+  static constexpr int kDefaultSlots = 24;
+  static constexpr int kMaxSlots = 64;
 
-  explicit RotatingCounter(std::uint8_t num_slots = kMaxSlots)
+  explicit RotatingCounter(std::uint8_t num_slots = kDefaultSlots)
       : num_slots_(num_slots == 0 ? 1 : num_slots) {}
 
   void Add(std::uint32_t n = 1) {
@@ -400,6 +401,10 @@ class ReferenceStats {
 
 // A seeded random sequence of every ReplicaStats operation, applied to the
 // real layout and to the reference model, which must agree after each step.
+// A third copy takes the same operations but rotates one slot at a time, so
+// a multi-slot Rotate (and its O(1) path) must leave exactly the state that
+// single rotations leave, through every later step. And wherever
+// WindowMoves(p) says no, Rotate(p) must change no window.
 class ReplicaStatsDifferentialTest
     : public ::testing::TestWithParam<std::uint8_t> {};
 
@@ -437,37 +442,62 @@ TEST_P(ReplicaStatsDifferentialTest, MatchesOneCounterPerOrigin) {
 
   ReplicaStats stats(slots);
   ReferenceStats model(slots);
+  ReplicaStats stepped(slots);  // rotated one slot at a time
   ReplicaStats other(slots);  // a second replica, merged in now and then
   ReferenceStats other_model(slots);
+  std::uint32_t quiet = 0;  // rotations of a non-empty window that moved none
   for (int step = 0; step < 20000; ++step) {
     const std::uint32_t op = below(100);
     if (op < 40) {
       const auto origin = static_cast<std::uint16_t>(below(kOrigins));
       const std::uint32_t n = amount();
       stats.RecordRead(origin, n);
+      stepped.RecordRead(origin, n);
       model.RecordRead(origin, n);
     } else if (op < 52) {
       const std::uint32_t n = amount();
       stats.RecordWrite(n);
+      stepped.RecordWrite(n);
       model.RecordWrite(n);
     } else if (op < 64) {
-      // Single steps mostly, and now and then a lag of a whole window.
-      const std::uint32_t periods =
-          below(4) == 0 ? below(2u * slots + 2) : 1;
+      // Single steps mostly, now and then a lag of a whole window, and
+      // after a quiet spell of no accesses, several steps at once.
+      std::uint32_t periods = below(4) == 0 ? below(2u * slots + 2) : 1;
+      if (below(3) == 0) {
+        for (std::uint32_t k = below(slots + 1u); k > 0; --k) {
+          stats.Rotate(1);
+          stepped.Rotate(1);
+          model.Rotate(1);
+        }
+        periods = below(slots + 1u);
+      }
+      const bool moves = stats.WindowMoves(periods);
+      const auto reads_before = ReadsOf(stats);
+      const std::uint32_t writes_before = stats.TotalWrites();
       stats.Rotate(periods);
+      for (std::uint32_t k = 0; k < periods; ++k) stepped.Rotate(1);
       model.Rotate(periods);
+      if (!moves) {
+        if (!reads_before.empty() || writes_before != 0) ++quiet;
+        ASSERT_EQ(ReadsOf(stats), reads_before) << "step " << step;
+        ASSERT_EQ(stats.TotalWrites(), writes_before) << "step " << step;
+      }
     } else if (op < 72) {
       const std::uint32_t reads = amount();
       const std::vector<std::uint16_t> to = targets();
       stats.SpreadReads(reads, to);
+      stepped.SpreadReads(reads, to);
       model.SpreadReads(reads, to);
     } else if (op < 76) {
       const bool include_writes = below(2) == 0;
       stats.MergeRemapped(other, remap, include_writes);
+      stepped.MergeRemapped(other, remap, include_writes);
       model.MergeRemapped(other_model, remap, include_writes);
     } else if (op < 82) {
       const auto origin = static_cast<std::uint16_t>(below(kOrigins));
-      ASSERT_EQ(stats.ExtractOrigin(origin), model.ExtractOrigin(origin));
+      const std::uint32_t extracted = model.ExtractOrigin(origin);
+      ASSERT_EQ(stats.ExtractOrigin(origin), extracted);
+      ASSERT_EQ(stepped.ExtractOrigin(origin), extracted);
     } else if (op < 84) {
       const ReplicaStats copy = stats;  // reconfiguration snapshots copy
       stats = copy;
@@ -493,11 +523,60 @@ TEST_P(ReplicaStatsDifferentialTest, MatchesOneCounterPerOrigin) {
       }
       ASSERT_EQ(stats.ReadsFrom(origin), want) << "step " << step;
     }
+    // The stepped copy holds the same windows and the same ring: every
+    // lag's WindowMoves answer agrees.
+    ASSERT_EQ(ReadsOf(stepped), ReadsOf(stats)) << "step " << step;
+    ASSERT_EQ(stepped.TotalWrites(), stats.TotalWrites()) << "step " << step;
+    for (std::uint32_t p = 0; p <= slots; ++p) {
+      ASSERT_EQ(stepped.WindowMoves(p), stats.WindowMoves(p))
+          << "step " << step << " lag " << p;
+    }
+  }
+  if (slots > 1) {
+    EXPECT_GT(quiet, 0u);
   }
 }
 
+// 32 slots is the most the activity bits track (31 completed ones); 40
+// takes the full rotation path always.
 INSTANTIATE_TEST_SUITE_P(CounterSlots, ReplicaStatsDifferentialTest,
-                         ::testing::Values(1, 2, 5, 24));
+                         ::testing::Values(1, 2, 5, 24, 32, 40));
+
+// A rotation that moves nothing only advances the ring: the windows keep
+// their totals, and the slot it skipped over still expires on time.
+TEST(ReplicaStatsTest, QuietRotationKeepsTheRingInStep) {
+  ReplicaStats stats(5);  // 4 completed slots
+  stats.RecordRead(1, 3);
+  EXPECT_TRUE(stats.WindowMoves(0));  // the current slot was read
+  stats.Rotate(1);                    // the 3 reads take ring position 0
+  EXPECT_FALSE(stats.WindowMoves(0));
+  EXPECT_FALSE(stats.WindowMoves(3));  // positions 1, 2, 3 are empty
+  EXPECT_TRUE(stats.WindowMoves(4));   // position 0 expires too
+  stats.Rotate(2);
+  EXPECT_EQ(stats.ReadsFrom(1), 3u);
+  EXPECT_TRUE(stats.WindowMoves(2));  // positions 3, 0
+  stats.Rotate(1);
+  EXPECT_EQ(stats.ReadsFrom(1), 3u);
+  stats.RecordWrite();
+  EXPECT_TRUE(stats.WindowMoves(1));
+  stats.Rotate(1);  // position 0 expires: the reads leave the window
+  EXPECT_EQ(stats.ReadsFrom(1), 0u);
+  EXPECT_EQ(stats.NumOrigins(), 0u);
+  EXPECT_EQ(stats.TotalWrites(), 1u);
+  // One slot: no completed slots, so any lag expires everything, and a
+  // zero lag rotates nothing.
+  ReplicaStats single(1);
+  single.RecordRead(2, 1);
+  single.Rotate(0);
+  EXPECT_EQ(single.ReadsFrom(2), 1u);
+  EXPECT_TRUE(single.WindowMoves(1));
+  single.Rotate(1);
+  EXPECT_EQ(single.NumOrigins(), 0u);
+  EXPECT_FALSE(single.WindowMoves(0));
+  EXPECT_FALSE(single.WindowMoves(1));
+  single.Rotate(0);
+  EXPECT_EQ(single.TotalWrites(), 0u);
+}
 
 TEST(ReplicaStatsTest, SaturatedSlotsExpireExactly) {
   ReplicaStats stats(3);
